@@ -43,6 +43,10 @@ class CurveFormatError(ValueError):
     """A curve file failed to parse or validate."""
 
 
+class CliArgumentError(ValueError):
+    """A command-line value (coordinates, scales) failed to parse or validate."""
+
+
 def parse_metric_spec(spec: str) -> Metric:
     """Parse 'lp:<p>[:snow:<beta>]...' into a Metric.
 
@@ -200,16 +204,22 @@ def _curve_from_csv(path: str) -> tuple[Polyline, None]:
 
 def _parse_coords(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        coords = np.array([float(v) for v in text.split(",")])
     except ValueError:
-        raise MetricSpecError(f"coordinates {text!r}: expected comma-separated reals") from None
+        raise CliArgumentError(f"coordinates {text!r}: expected comma-separated reals") from None
+    if not np.all(np.isfinite(coords)):
+        raise CliArgumentError(f"coordinates {text!r}: expected finite reals")
+    return coords
 
 
 def _parse_scales(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",")]
+        scales = [int(v) for v in text.split(",")]
     except ValueError:
-        raise MetricSpecError(f"scales {text!r}: expected comma-separated ints") from None
+        raise CliArgumentError(f"scales {text!r}: expected comma-separated ints") from None
+    if any(s < 1 for s in scales):
+        raise CliArgumentError(f"scales {text!r}: expected positive ints")
+    return scales
 
 
 def _emit(obj) -> None:
@@ -399,7 +409,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (MetricSpecError, CurveFormatError) as exc:
+    except (MetricSpecError, CurveFormatError, CliArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DimensionMismatch as exc:

@@ -3,6 +3,7 @@ gluing, interval rescaling and removal of constant pieces."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,12 +120,14 @@ def glue(c1: Polyline, c2: Polyline, snap_tol: float | None = None) -> Polyline:
     """Concatenate two curves meeting at a shared junction sample.
 
     Requires the last sample of ``c1`` to equal the first of ``c2``
-    exactly (parameter and point).  With ``snap_tol`` set, mismatches up
-    to that size are allowed and the junction is snapped to c1's
+    exactly (parameter and point).  With ``snap_tol`` set (a finite
+    nonnegative real), mismatches up to that size are allowed and the junction is snapped to c1's
     endpoint; the default refuses rather than silently corrupting curves.
     """
     if c1.dim != c2.dim:
         raise DimensionMismatch(f"curves have dimensions {c1.dim} and {c2.dim}")
+    if snap_tol is not None and not (math.isfinite(snap_tol) and snap_tol >= 0.0):
+        raise ValueError(f"snap_tol must be a finite nonnegative real, got {snap_tol!r}")
     t_gap = abs(c2.params[0] - c1.params[-1])
     p_gap = float(np.max(np.abs(c2.points[0] - c1.points[-1])))
     if snap_tol is None:

@@ -10,6 +10,7 @@ import numpy as np
 from .norms import (
     DimensionMismatch,
     NormSpec,
+    _finite_result,
     _norm_raw,
     _resolve_dim,
     _sample_points,
@@ -74,6 +75,8 @@ def distance(m: Metric, x, y) -> float | np.ndarray:
 
     Raises:
         DimensionMismatch: the coordinate counts disagree.
+        ValueError: non-finite coordinates, or a distance beyond the float
+            range.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -87,8 +90,9 @@ def distance(m: Metric, x, y) -> float | np.ndarray:
         raise DimensionMismatch(f"metric has dimension {m.dim}, points have {xv.shape[-1]}")
     if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
         raise ValueError("points have non-finite coordinates")
-    out = _dist_raw(m, xv, yv)
-    return float(out) if np.ndim(out) == 0 else out
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        out = _dist_raw(m, xv, yv)
+    return _finite_result(out, "distance")
 
 
 def snowflake_order_transfer(alpha: float, beta: float, mode: str = "domain") -> float:

@@ -106,7 +106,7 @@ def eval_norm(spec: NormSpec, x) -> float | np.ndarray:
 
     Raises:
         DimensionMismatch: coordinate count disagrees with the weights.
-        ValueError: non-finite coordinates.
+        ValueError: non-finite coordinates, or a norm beyond the float range.
     """
     v = np.asarray(x, dtype=float)
     if v.ndim == 0 or v.shape[-1] == 0:
@@ -117,7 +117,15 @@ def eval_norm(spec: NormSpec, x) -> float | np.ndarray:
         )
     if not np.all(np.isfinite(v)):
         raise ValueError("point has non-finite coordinates")
-    out = _norm_raw(spec, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        out = _norm_raw(spec, v)
+    return _finite_result(out, "norm")
+
+
+def _finite_result(out, what: str) -> float | np.ndarray:
+    """Unbatch ``out``; finite input whose result overflows raises, never nan or inf."""
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} of finite input overflows the float range")
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -131,6 +132,10 @@ class TestGeodesicCommand:
     def test_dimension_mismatch_exit_code(self, capsys):
         code = main(["geodesic", "--start", "0,0", "--end", "1,1,1", "--metric", "lp:2"])
         assert code == EXIT_DIMENSION
+
+    def test_nan_coordinate_is_a_parse_error(self):
+        code = main(["geodesic", "--start", "nan,0", "--end", "1,1", "--metric", "lp:2"])
+        assert code == EXIT_PARSE
 
     def test_path_roundtrips_through_length(self, tmp_path, capsys):
         code, out = run(
@@ -281,6 +286,12 @@ class TestCoveringCommand:
         assert code == 0
         assert out["sums"][0] == {"scale": 4, "sum": pytest.approx(1.0)}
 
+    @pytest.mark.parametrize("scales", ["0", "4,-3"])
+    def test_nonpositive_scale_is_a_parse_error(self, tmp_path, scales):
+        f = write_curve(tmp_path / "c.json", [0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
+        argv = ["covering", f, "--metric", "lp:2", "--alpha", "1", "--scales", scales]
+        assert main(argv) == EXIT_PARSE
+
 
 class TestSerialization:
     def test_seventeen_digit_floats_roundtrip(self):
@@ -308,6 +319,18 @@ class TestSerialization:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["length"] == pytest.approx(math.sqrt(2.0))
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.spatial takes most of the import time and only long covering
+        # blocks need it, so it loads on first use
+        import metricgeom
+
+        src = os.path.dirname(os.path.dirname(metricgeom.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); import metricgeom.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -207,6 +207,14 @@ class TestGlue:
         out = glue(c1, c2, snap_tol=1e-6)
         assert out.points[1, 0] == 2.0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
+    def test_rejects_non_finite_or_negative_snap_tol(self, tol):
+        # a nan tolerance used to pass every comparison and glue any mismatch
+        c1 = Polyline([0.0, 1.0], [[0.0], [2.0]])
+        c2 = Polyline([1.0, 2.0], [[5.0], [6.0]])
+        with pytest.raises(ValueError, match="snap_tol"):
+            glue(c1, c2, snap_tol=tol)
+
     def test_dimension_mismatch(self):
         c1 = Polyline([0.0, 1.0], [[0.0], [2.0]])
         c2 = Polyline([1.0, 2.0], [[2.0, 0.0], [3.0, 0.0]])

@@ -21,6 +21,7 @@ from metricgeom import (
     snowflake,
 )
 from metricgeom.curves import Polyline
+from metricgeom.holder import _L1_FUNCTIONAL_MAX_DIM, _LAG_SCAN_MAX, _block_diameters
 
 L1 = norm_metric(NormSpec(1))
 L2 = norm_metric(NormSpec(2))
@@ -230,6 +231,107 @@ class TestCoveringSums:
     def test_single_point_curve(self):
         sums = hausdorff_covering_sum(Polyline([0.0], [[0.0, 0.0]]), L2, 1.0, [2])
         assert sums == [(2, 0.0)]
+
+    @pytest.mark.parametrize("level, scales", [(7, [4, 16, 64, 256]), (6, [256, 1024])])
+    def test_koch_closed_form_at_powers_of_four(self, level, scales):
+        # each block at scale 4^j is a copy of the curve rotated by a multiple
+        # of 60 degrees, so under l2 every block has diameter 3^-j exactly;
+        # blocks run from 65537 samples down to 2, across every size cut-off
+        sums = hausdorff_covering_sum(koch_generator(level), L2, KOCH_DIM, scales)
+        assert [s for s, _ in sums] == scales
+        for _, v in sums:
+            assert v == pytest.approx(1.0, rel=1e-9)
+
+    def test_scales_finer_than_sampling_add_zero(self):
+        c = koch_generator(1)  # 5 samples: at most 4 blocks hold 2 samples
+        sums = dict(hausdorff_covering_sum(c, L2, 1.0, [4, 1000]))
+        assert sums[4] == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert sums[1000] == 0.0
+
+    def test_dimension_mismatch(self):
+        m = norm_metric(NormSpec(2, (1.0, 2.0, 3.0)))
+        with pytest.raises(DimensionMismatch):
+            hausdorff_covering_sum(koch_generator(2), m, 1.0, [4])
+
+
+def _oracle_curve(dim: int, rng) -> Polyline:
+    """A walk on fixed non-uniform parameters, with a collinear run and repeated points."""
+    walk = np.cumsum(rng.normal(0.0, 1.0, (450, 3)), axis=0)
+    line = walk[-1] + np.linspace(0.0, 1.0, 250)[:, None] * rng.normal(0.0, 30.0, 3)
+    stuck = np.repeat(line[-1:], 100, axis=0)  # one point, repeated
+    wiggle = stuck[-1] + np.cumsum(rng.normal(0.0, 1.0, (200, 3)), axis=0)
+    P = np.vstack([walk, line, stuck, wiggle])[:, :dim] + 100.0
+    t = np.cumsum(np.random.default_rng(0).uniform(0.2, 1.8, len(P)))
+    return Polyline(t, P)
+
+
+def _oracle_blocks(t: np.ndarray, s: int):
+    """Closed uniform parameter blocks, boundary samples in both neighbours."""
+    edges = np.linspace(t[0], t[-1], s + 1)
+    eps = (t[-1] - t[0]) * 1e-12
+    inside = (t >= edges[:-1, None] - eps) & (t <= edges[1:, None] + eps)
+    return [np.flatnonzero(row) for row in inside]
+
+
+def _oracle_distances(P: np.ndarray, spec: NormSpec) -> np.ndarray:
+    """Norm distance of every pair of samples, straight from the definition."""
+    w = np.ones(P.shape[1]) if spec.weights is None else np.asarray(spec.weights)
+    A = np.abs(P[:, None, :] - P[None, :, :]) * w
+    if spec.p == math.inf:
+        return A.max(axis=-1)
+    top = max(float(A.max()), 1e-300)  # scaled powers cannot overflow
+    return top * ((A / top) ** spec.p).sum(axis=-1) ** (1.0 / spec.p)
+
+
+def _oracle_diameters(D: np.ndarray, blocks) -> np.ndarray:
+    return np.array([D[b[0] : b[-1] + 1, b[0] : b[-1] + 1].max() if b.size else 0.0
+                     for b in blocks])
+
+
+class TestBlockDiameterOracle:
+    """Every block diameter against an all-pairs scan, on every kernel branch."""
+
+    SCALES = [1, 2, 5, 9, 20, 60, 170, 500, 999, 3000]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_blocks_match_all_pairs(self, dim, p, weighted):
+        rng = np.random.default_rng(dim)
+        c = _oracle_curve(dim, rng)
+        spec = NormSpec(p, tuple(rng.uniform(0.5, 2.0, dim)) if weighted else None)
+        PT = np.ascontiguousarray(c.points.T)
+        D = _oracle_distances(c.points, spec)
+        for s in self.SCALES:
+            blocks = _oracle_blocks(c.params, s)
+            want = _oracle_diameters(D, blocks)
+            lo = np.array([b[0] if b.size else 0 for b in blocks])
+            hi = np.array([b[-1] + 1 if b.size else 0 for b in blocks])
+            got = _block_diameters(PT, lo, hi, spec)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"scale {s}")
+            for beta in (1.0, 0.5):
+                m = snowflake(norm_metric(spec), beta)
+                [(_, total)] = hausdorff_covering_sum(c, m, 1.0, [s])
+                assert total == pytest.approx(float(np.sum(want ** beta)), rel=1e-12, abs=0.0)
+
+    def test_block_lengths_cover_both_sides_of_the_cut_offs(self):
+        # the oracle curve's parameters, and so its blocks, are the same in every case
+        c = _oracle_curve(2, np.random.default_rng(0))
+        lengths = {len(b) for s in self.SCALES for b in _oracle_blocks(c.params, s)}
+        assert {0, 1, 2, _LAG_SCAN_MAX, _LAG_SCAN_MAX + 1, 1000} <= lengths
+        assert max(lengths) == 1000
+
+    @pytest.mark.parametrize("dim", [_L1_FUNCTIONAL_MAX_DIM, _L1_FUNCTIONAL_MAX_DIM + 1])
+    def test_l1_on_both_sides_of_the_functional_dimension_cut_off(self, dim):
+        rng = np.random.default_rng(dim)
+        P = np.cumsum(rng.normal(0.0, 1.0, (300, dim)), axis=0)
+        c = Polyline(np.arange(300.0), P)
+        spec = NormSpec(1.0)
+        D = _oracle_distances(P, spec)
+        for s in (3, 10, 299):  # 100-, 30- and 2-sample blocks
+            want = float(np.sum(_oracle_diameters(D, _oracle_blocks(c.params, s))))
+            [(_, total)] = hausdorff_covering_sum(c, norm_metric(spec), 1.0, [s])
+            assert total == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestKochGenerator:

@@ -50,6 +50,15 @@ class TestDistance:
         with pytest.raises(DimensionMismatch):
             distance(L2, [0, 0], [1, 1, 1])
 
+    def test_overflowing_difference_raises(self):
+        # 2e308 overflows; the norm used to come back as nan without warning
+        for m in (L1, L2, snowflake(L2, 0.5), norm_metric(NormSpec(INF))):
+            with pytest.raises(ValueError, match="overflows"):
+                distance(m, [1e308, 0.0], [-1e308, 0.0])
+        with pytest.raises(ValueError, match="overflows"):
+            distance(L2, [[0.0, 0.0], [1e308, 0.0]], [[1.0, 1.0], [-1e308, 0.0]])
+        assert distance(L2, [1e308, 0.0], [0.0, 0.0]) == 1e308
+
     @given(arrays(np.float64, 3, elements=coords), arrays(np.float64, 3, elements=coords))
     def test_symmetry_is_exact(self, x, y):
         for m in (L1, L2, snowflake(L2, 0.5)):

@@ -91,6 +91,13 @@ class TestEvalNorm:
         with pytest.raises(ValueError):
             eval_norm(NormSpec(2), [1.0, math.nan])
 
+    def test_overflowing_norm_raises(self):
+        with pytest.raises(ValueError, match="overflows"):
+            eval_norm(NormSpec(1), [1e308, 1e308])
+        with pytest.raises(ValueError, match="overflows"):
+            eval_norm(NormSpec(2, weights=(10.0, 1.0)), [[1.0, 0.0], [1e308, 0.0]])
+        assert eval_norm(NormSpec(2), [1e308, 1e308]) == pytest.approx(1e308 * math.sqrt(2.0))
+
 
 class TestNormSpecValidation:
     @pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.nan])
