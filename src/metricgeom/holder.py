@@ -157,6 +157,8 @@ def fit_holder(
         alpha = _regress_alpha(X, Y, d1, d2, max_regression_pairs, seed)
     else:
         alpha = float(alpha)
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
 
     best = -1.0
     witness = (0, 1)
@@ -272,10 +274,10 @@ def check_order_gt1_constant(
     which tends to 0 with the mesh, the discrete shadow of 'order above 1
     forces a constant map'.
     """
-    if not alpha > 1.0:
-        raise ValueError("this check requires alpha > 1")
-    if not C >= 0.0:
-        raise ValueError("C must be nonnegative")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError("this check requires a finite alpha > 1")
+    if not 0.0 <= C < math.inf:
+        raise ValueError(f"C must be a nonnegative finite real, got {C!r}")
     x = np.asarray(domain_pts, dtype=float)
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("domain_pts must be a 1-d list of at least 2 reals")
@@ -320,8 +322,8 @@ def hausdorff_covering_sum(
     distance is convex in each argument, so the diameter is attained
     at a pair of the block's convex hull vertices.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
     scale_list = [int(s) for s in scales]
     if not scale_list or any(s < 1 for s in scale_list):
         raise ValueError("scales must be a nonempty list of positive ints")

@@ -16,7 +16,7 @@ from .norms import (
     _sample_points,
     as_vector,
 )
-from .reporting import AxiomReport, CheckReport
+from .reporting import AxiomReport, CheckReport, margin_report
 
 
 @dataclass(frozen=True)
@@ -156,13 +156,7 @@ def check_metric_axioms(
     dxx = np.asarray(dist(X, X), dtype=float)
 
     sym_margin = np.abs(dxy - dyx) / np.maximum(1.0, np.abs(dxy))
-    symmetry = CheckReport(
-        "symmetry",
-        sample_count,
-        int(np.count_nonzero(sym_margin > tol)),
-        float(sym_margin.max()),
-        tol,
-    )
+    symmetry = margin_report("symmetry", sym_margin, tol)
 
     distinct = np.any(X != Y, axis=1)
     id_viol = int(np.count_nonzero((dxx != 0.0) | (distinct & (dxy <= 0.0))))
@@ -170,7 +164,7 @@ def check_metric_axioms(
     identity = CheckReport("identity", sample_count, id_viol, id_worst, tol)
 
     tri_margin = (dxz - dxy - dyz) / np.maximum(1.0, dxy + dyz)
-    triangle = _report("triangle", tri_margin, tol)
+    triangle = margin_report("triangle", tri_margin, tol)
 
     return AxiomReport((symmetry, identity, triangle))
 
@@ -213,23 +207,12 @@ def ball_containment_check(
     u_open = rng.uniform(0.0, 1.0, sample_count)  # in [0, 1): strictly inside
     z_open = pv + (r_base * u_open)[:, None] * dirs
     open_margin = (_dist_raw(m, qv, z_open) - bound) / max(1.0, bound)
-    open_check = _report("open_ball_transport", open_margin, tol)
+    open_check = margin_report("open_ball_transport", open_margin, tol)
 
     u_closed = u_open.copy()
     u_closed[: max(1, sample_count // 8)] = 1.0
     z_closed = pv + (r_base * u_closed)[:, None] * dirs
     closed_margin = (_dist_raw(m, qv, z_closed) - bound) / max(1.0, bound)
-    closed_check = _report("closed_ball_transport", closed_margin, tol)
+    closed_check = margin_report("closed_ball_transport", closed_margin, tol)
 
     return AxiomReport((closed_check, open_check))
-
-
-def _report(name: str, margins, tol: float) -> CheckReport:
-    margins = np.asarray(margins, dtype=float)
-    return CheckReport(
-        name,
-        margins.size,
-        int(np.count_nonzero(margins > tol)),
-        float(margins.max()),
-        tol,
-    )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reporting import AxiomReport, CheckReport
+from .reporting import AxiomReport, CheckReport, margin_report
 
 
 class DimensionMismatch(ValueError):
@@ -179,11 +179,11 @@ def check_norm_axioms(
 
     hom = np.abs(_norm_raw(spec, R[:, None] * X) - np.abs(R) * nx)
     hom_margin = hom / np.maximum(1.0, np.abs(R) * nx)
-    homogeneity = _margin_report("homogeneity", hom_margin, tol)
+    homogeneity = margin_report("homogeneity", hom_margin, tol)
 
     sub = _norm_raw(spec, X + Y) - (nx + ny)
     sub_margin = sub / np.maximum(1.0, nx + ny)
-    subadditivity = _margin_report("subadditivity", sub_margin, tol)
+    subadditivity = margin_report("subadditivity", sub_margin, tol)
 
     return AxiomReport((positivity, homogeneity, subadditivity))
 
@@ -210,7 +210,7 @@ def check_unit_ball_convexity(
     T = rng.uniform(0.0, 1.0, sample_count)
     mixed = T[:, None] * X + (1.0 - T)[:, None] * Y
     margin = _norm_raw(spec, mixed) - 1.0
-    return AxiomReport((_margin_report("unit_ball_convexity", margin, tol),))
+    return AxiomReport((margin_report("unit_ball_convexity", margin, tol),))
 
 
 def _resolve_dim(spec: NormSpec, dim: int | None) -> int:
@@ -238,14 +238,3 @@ def _unit_ball_points(
     nz = np.where(nz > 0.0, nz, 1.0)
     u = rng.uniform(0.0, 1.0, count)
     return Z * (u / nz)[:, None]
-
-
-def _margin_report(name: str, margins, tol: float) -> CheckReport:
-    margins = np.asarray(margins, dtype=float)
-    return CheckReport(
-        name,
-        margins.size,
-        int(np.count_nonzero(margins > tol)),
-        float(margins.max()),
-        tol,
-    )

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -20,9 +23,26 @@ class CheckReport:
     worst_margin: float
     tolerance: float
 
+    def __post_init__(self):
+        # under a nan or infinite tolerance no sample could ever fail
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"tolerance must be finite, got {self.tolerance!r}")
+
     @property
     def passed(self) -> bool:
         return self.violations == 0
+
+
+def margin_report(name: str, margins, tol: float) -> CheckReport:
+    """Report a check whose samples pass when their margin is at most ``tol``."""
+    margins = np.asarray(margins, dtype=float)
+    return CheckReport(
+        name,
+        margins.size,
+        int(np.count_nonzero(margins > tol)),
+        float(margins.max()),
+        tol,
+    )
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,20 @@ class TestLengthCommand:
         assert code == 0
         assert out["length"] == 2.0
 
+    def test_long_random_walk_csv(self, tmp_path, capsys):
+        rng = np.random.default_rng(20)
+        t = np.cumsum(rng.uniform(0.01, 1.0, 20_000))
+        P = np.cumsum(rng.standard_normal((20_000, 3)), axis=0)
+        f = tmp_path / "walk.csv"
+        f.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                             for row in np.column_stack([t, P])))
+        code, out = run(capsys, ["length", str(f), "--metric", "lp:1:snow:0.5"])
+        assert code == 0
+        steps = np.sqrt(np.abs(np.diff(P, axis=0)).sum(axis=1))
+        assert out["length"] == pytest.approx(steps.sum(), rel=1e-12)
+        assert out["lipschitz_estimate"] == pytest.approx((steps / np.diff(t)).max(), rel=1e-12)
+        assert out["interval"] == [t[0], t[-1]]
+
     def test_bad_csv_reports_line(self, tmp_path, capsys):
         f = tmp_path / "c.csv"
         f.write_text("0,0\noops,1\n")
@@ -239,6 +253,13 @@ class TestHolderCommand:
         assert code == 0
         assert out["alpha"] == pytest.approx(math.log(3.0) / math.log(4.0), abs=0.05)
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
+    def test_non_positive_or_non_finite_order_exit_code(self, tmp_path, alpha):
+        xs = np.linspace(0.0, 1.0, 20)
+        dom = write_curve(tmp_path / "d.json", xs, xs[:, None])
+        argv = ["holder", dom, dom, "--d1", "lp:1", "--d2", "lp:1", "--alpha", alpha]
+        assert main(argv) == EXIT_NUMERIC
+
     def test_count_mismatch_exit_code(self, tmp_path):
         dom = write_curve(tmp_path / "d.json", [0, 1], [[0], [1]])
         rng = write_curve(tmp_path / "r.json", [0, 1, 2], [[0], [1], [2]])
@@ -274,6 +295,12 @@ class TestCheckCommand:
         assert code == EXIT_VIOLATION
         assert out["passed"] is False
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exit_code(self, tol, capsys):
+        argv = ["check", "--metric", "lp:2", "--samples", "100", "--tol", tol]
+        assert main(argv) == EXIT_NUMERIC
+        assert capsys.readouterr().out == ""
+
 
 class TestCoveringCommand:
     def test_unit_segment(self, tmp_path, capsys):
@@ -285,6 +312,11 @@ class TestCoveringCommand:
         )
         assert code == 0
         assert out["sums"][0] == {"scale": 4, "sum": pytest.approx(1.0)}
+
+    def test_infinite_order_exit_code(self, tmp_path):
+        f = write_curve(tmp_path / "c.json", [0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
+        argv = ["covering", f, "--metric", "lp:2", "--alpha", "inf", "--scales", "4"]
+        assert main(argv) == EXIT_NUMERIC
 
     @pytest.mark.parametrize("scales", ["0", "4,-3"])
     def test_nonpositive_scale_is_a_parse_error(self, tmp_path, scales):

@@ -110,6 +110,33 @@ class TestLength:
             assert length(refined, m) == pytest.approx(length(c, m), rel=1e-12)
 
 
+def _oracle_curve(dim: int, rng, fast: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Non-uniform parameters; a walk with repeated points and a constant-speed run.
+
+    With ``fast`` set, step ``fast`` of 60 (or the whole run, if it holds that
+    step) is the longest and quickest, so the largest secant ratio sits there.
+    """
+    steps = rng.standard_normal((60, dim)) * rng.uniform(0.1, 3.0, (60, 1))
+    steps[rng.random(60) < 0.2] = 0.0  # the sample repeats its predecessor
+    gaps = rng.uniform(0.05, 1.0, 60)
+    run = slice(20, 30)  # collinear, constant speed: its long secants tie its steps
+    steps[run], gaps[run] = steps[20], gaps[20]
+    if fast is not None:
+        hot = run if 20 <= fast < 30 else fast
+        steps[hot], gaps[hot] = 10.0, 0.01
+    P = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
+    return np.concatenate([[0.0], np.cumsum(gaps)]), P
+
+
+def _all_pairs_lipschitz(t, P, p, weights, beta) -> float:
+    """Largest secant ratio over every sample pair, straight from the definitions."""
+    w = np.ones(P.shape[1]) if weights is None else np.asarray(weights)
+    ii, jj = np.triu_indices(len(t), k=1)
+    A = np.abs(P[jj] - P[ii]) * w
+    d = A.max(axis=1) if p == INF else (A ** p).sum(axis=1) ** (1.0 / p)
+    return float((d ** beta / (t[jj] - t[ii])).max())
+
+
 class TestLipschitzEstimate:
     @pytest.mark.parametrize(
         "spec",
@@ -143,17 +170,20 @@ class TestLipschitzEstimate:
         with pytest.raises(ValueError):
             lipschitz_estimate(Polyline([0.0], [[0.0]]), L2)
 
-    def test_adjacent_mode_matches_all_pairs_for_true_metrics(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            n = rng.integers(2, 15)
-            t = np.cumsum(rng.uniform(0.05, 1.0, n))
-            P = rng.standard_normal((n, 2)) * 3.0
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_estimate_matches_all_pairs_oracle(self, dim, p, weighted):
+        rng = np.random.default_rng(dim)
+        weights = tuple(rng.uniform(0.25, 4.0, dim)) if weighted else None
+        spec = NormSpec(p, weights)
+        for fast in (None, 0, 25, 59):
+            t, P = _oracle_curve(dim, rng, fast)
             c = Polyline(t, P)
-            for m in (L1, L2, snowflake(L2, 0.5)):
-                assert lipschitz_estimate(c, m, pairs="adjacent") == pytest.approx(
-                    lipschitz_estimate(c, m, pairs="all"), rel=1e-12
-                )
+            for beta in (1.0, 0.5, 0.3):
+                want = _all_pairs_lipschitz(t, P, p, weights, beta)
+                got = lipschitz_estimate(c, snowflake(norm_metric(spec), beta))
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @given(polylines(), metrics_strategy)
     @settings(deadline=None, max_examples=60)
@@ -288,6 +318,10 @@ class TestRemoveConstantPieces:
         out = remove_constant_pieces(c)
         assert len(out) == 1
         assert out.params[0] == 0.0
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            remove_constant_pieces(STAIRCASE, tol=math.nan)
 
     def test_estimate_does_not_increase_on_exact_duplicates(self):
         rng = np.random.default_rng(4)

@@ -159,6 +159,12 @@ class TestFitHolder:
         with pytest.raises(DimensionMismatch):
             fit_holder(np.zeros((3, 1)), np.zeros((4, 1)), L1, L1, alpha=1.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+    def test_given_order_must_be_positive_and_finite(self, alpha):
+        xs = np.linspace(0.0, 1.0, 10)[:, None]
+        with pytest.raises(ValueError):
+            fit_holder(xs, xs, L1, L1, alpha=alpha)
+
     def test_no_sampled_pair_violates_the_fit(self):
         rng = np.random.default_rng(9)
         xs = np.sort(rng.uniform(0.0, 2.0, 120))[:, None]
@@ -200,6 +206,13 @@ class TestOrderAboveOneCollapse:
     def test_requires_alpha_above_one(self):
         with pytest.raises(ValueError):
             check_order_gt1_constant(np.array([0.0, 1.0]), np.zeros((2, 1)), L1, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            check_order_gt1_constant(np.array([0.0, 2.0]), np.zeros((2, 1)), L1, math.inf, 1.0)
+
+    @pytest.mark.parametrize("C", [math.inf, math.nan])
+    def test_constant_must_be_finite(self, C):
+        with pytest.raises(ValueError):
+            check_order_gt1_constant(np.array([0.0, 1.0]), np.zeros((2, 1)), L1, 2.0, C)
 
 
 class TestCoveringSums:
@@ -223,6 +236,11 @@ class TestCoveringSums:
         sums = hausdorff_covering_sum(curve, L2, KOCH_DIM, [4, 16, 64])
         vals = [v for _, v in sums]
         assert max(vals) / min(vals) < 1.5
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0])
+    def test_order_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError):
+            hausdorff_covering_sum(koch_generator(1), L2, alpha, [4])
 
     def test_empty_scales_rejected(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,13 @@ class TestMetricAxioms:
         assert not report.passed
         assert report["triangle"].violations > 0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # no margin exceeds a nan tolerance, so this non-metric would pass
+        squared = lambda A, B: ((A - B) ** 2).sum(-1)  # noqa: E731
+        with pytest.raises(ValueError, match="tolerance"):
+            check_metric_axioms(squared, 200, dim=2, tol=tol)
+
     def test_callable_requires_dim(self):
         with pytest.raises(ValueError):
             check_metric_axioms(lambda X, Y: np.zeros(len(X)), 10, seed=0)
