@@ -256,6 +256,8 @@ def cmd_geodesic(args) -> int:
     _emit({
         "converged": res.converged,
         "k": res.k,
+        "lower_bound": res.lower_bound,
+        "gap": res.gap,
         "iterations": res.iterations,
         "seed": args.seed,  # echoed; the solver is deterministic
         "path": curve_to_dict(res.path),
@@ -363,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--end", required=True, help="comma-separated coordinates")
     p.add_argument("--metric", required=True)
     p.add_argument("--segments", type=int, default=16)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest relative optimality gap (k - bound) / bound to certify")
     p.add_argument("--max-iters", type=int, default=10_000, dest="max_iters")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_geodesic)

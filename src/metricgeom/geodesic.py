@@ -1,21 +1,34 @@
 """Discrete minimal-Lipschitz-constant paths between fixed endpoints.
 
-A path is represented on the uniform grid of [0, 1] with a fixed number
-of segments.  The solver relaxes one interior point at a time, replacing
-it with the best member of a deterministic candidate set (a line search
-toward the midpoint of its neighbors plus coordinate perturbations of
-decaying radius) under the local objective max(d(prev, c), d(c, next)).
-Only strict improvements are accepted, so the path's constant
+A path is represented on the uniform grid of [0, 1] with s segments,
+and its constant is
 
-    k = max_i d(p_i, p_{i+1}) * segment_count
+    k = max_i d(p_i, p_{i+1}) * s.
 
-never increases across sweeps, and for any metric k is bounded below by
-the distance between the endpoints.  Everything is metric-only: no
-gradients, so snowflaked metrics work unchanged.
+For every admissible metric d = N(x - y)^beta the steps' norms sum to at
+least N(y - x), so the largest step is at least N(y - x) / s and
+
+    k >= s^(1 - beta) * d(x, y),
+
+which the equispaced affine path attains: the affine path is optimal
+for every such metric, strictly convex or not, and this lower bound
+certifies any path the solver returns.
+
+The solver relaxes the interior points in red-black order: all odd
+points, then all even ones.  A point's local objective
+max(d(prev, c), d(c, next)) involves only points of the other colour,
+so each half-sweep replaces every point of one colour at once with the
+best member of a deterministic candidate set (a line search toward the
+midpoint of its neighbours plus coordinate perturbations of decaying
+radius).  Only strict improvements are accepted, and points of one
+colour share no segment, so k never increases across sweeps.
+Everything is metric-only: no gradients, so snowflaked metrics work
+unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +44,10 @@ _LAMBDAS = np.array([0.25, 0.5, 1.0])
 class GeodesicProblem:
     """Fixed-endpoint minimax path problem on the unit parameter interval.
 
-    ``initial_path`` optionally replaces the default affine initialization;
-    it must live on the same uniform grid and share the endpoints.
+    ``tolerance`` bounds the relative optimality gap that ``solve`` must
+    certify before it reports convergence.  ``initial_path`` optionally
+    replaces the default affine initialization; it must live on the same
+    uniform grid and share the endpoints.
     """
 
     metric: Metric
@@ -54,8 +69,8 @@ class GeodesicProblem:
         object.__setattr__(self, "end", e)
         if self.segment_count < 1:
             raise ValueError("segment_count must be at least 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.initial_path is not None:
@@ -72,26 +87,41 @@ class GeodesicProblem:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicResult:
-    """Solved path with its constant and convergence diagnostics.
+    """Solved path with its constant, optimality certificate and diagnostics.
 
-    ``k_history`` holds k after initialization and after every sweep; it
-    is nonincreasing by construction.
+    ``lower_bound`` is s^(1 - beta) * d(start, end), below which no path
+    on the grid can go, and ``gap`` is the relative optimality gap
+    (k - lower_bound) / lower_bound: 0 when the endpoints coincide and k
+    is 0, inf when they coincide and k is not.  ``converged`` means
+    ``gap <= tolerance``.  ``k_history`` holds k after initialization
+    and after every sweep; it is nonincreasing by construction.
     """
 
     path: Polyline
     k: float
+    lower_bound: float
+    gap: float
     iterations: int
     converged: bool
     k_history: tuple[float, ...]
 
 
-def solve(prob: GeodesicProblem) -> GeodesicResult:
-    """Relax the path until the constant stops improving.
+def _relative_gap(k: float, lower_bound: float) -> float:
+    if lower_bound > 0.0:
+        return (k - lower_bound) / lower_bound
+    return 0.0 if k == 0.0 else math.inf
 
-    Convergence is declared when a full sweep improves k by less than
-    ``tolerance`` in relative terms.  The affine initialization is already
-    optimal for strictly convex norms, in which case the first sweep
-    finds nothing to improve and the solver stops immediately.
+
+def solve(prob: GeodesicProblem) -> GeodesicResult:
+    """Relax the path until its constant is certified optimal.
+
+    Each sweep is two half-sweeps, odd interior points then even ones;
+    a point's objective involves only points of the other colour, so
+    every half-sweep updates all its points in one batch.  The solver
+    stops with ``converged=True`` as soon as ``gap <= tolerance`` (the
+    affine default start meets it before any sweep, unless ``tolerance``
+    is below the rounding error of k), and with ``converged=False`` when
+    ``max_iters`` sweeps run out or a whole sweep moves no point.
     """
     m = prob.metric
     segs = prob.segment_count
@@ -110,42 +140,47 @@ def solve(prob: GeodesicProblem) -> GeodesicResult:
 
     k = path_k(P)
     history = [k]
-    coord_scale = float(np.max(np.ptp(P, axis=0))) if segs > 1 else 0.0
-    radius = coord_scale / segs if coord_scale > 0.0 else 0.0
+    lower_bound = float(segs ** (1.0 - m.beta) * _dist_raw(m, prob.start, prob.end))
+    radius = float(np.max(np.ptp(P, axis=0))) / segs
     eye = np.eye(n)
-    converged = False
+    colours = (np.arange(1, segs, 2), np.arange(2, segs, 2))
     iterations = 0
 
-    for _ in range(prob.max_iters):
+    while _relative_gap(k, lower_bound) > prob.tolerance and iterations < prob.max_iters:
         iterations += 1
-        for i in range(1, segs):
-            a = P[i - 1]
-            b = P[i + 1]
-            cur = P[i]
-            cur_val = float(max(_dist_raw(m, cur, a), _dist_raw(m, cur, b)))
-            mid = 0.5 * (a + b)
-            cands = cur[None, :] + _LAMBDAS[:, None] * (mid - cur)[None, :]
-            if radius > 0.0:
-                offs = radius * eye
-                cands = np.vstack([cands, cur + offs, cur - offs])
+        moved = False
+        for idx in colours:
+            a = P[idx - 1][:, None, :]
+            b = P[idx + 1][:, None, :]
+            cur = P[idx][:, None, :]
+            # candidates: the incumbent, the line search toward the
+            # neighbours' midpoint, then +-radius along each axis
+            cands = np.concatenate([
+                cur,
+                cur + _LAMBDAS[:, None] * (0.5 * (a + b) - cur),
+                cur + radius * eye,
+                cur - radius * eye,
+            ], axis=1)
             vals = np.maximum(_dist_raw(m, cands, a), _dist_raw(m, cands, b))
-            j = int(np.argmin(vals))
-            if vals[j] < cur_val:  # ties keep the incumbent point
-                P[i] = cands[j]
-        k_new = path_k(P)
-        history.append(k_new)
-        improvement = (k - k_new) / k if k > 0.0 else 0.0
-        k = k_new
+            j = np.argmin(vals, axis=1)  # ties keep the incumbent (index 0)
+            better = j > 0
+            if better.any():
+                moved = True
+                P[idx[better]] = cands[better, j[better]]
+        k = path_k(P)
+        history.append(k)
         radius *= 0.5
-        if improvement < prob.tolerance:
-            converged = True
+        if not moved:
             break
 
+    gap = _relative_gap(k, lower_bound)
     return GeodesicResult(
         path=Polyline(grid, P),
         k=k,
+        lower_bound=lower_bound,
+        gap=gap,
         iterations=iterations,
-        converged=converged,
+        converged=gap <= prob.tolerance,
         k_history=tuple(history),
     )
 

@@ -66,7 +66,8 @@ def unit_speed_reparam(
     """Reparameterize to unit speed: same points, parameters phi(t_j).
 
     Requires every sampled speed N(p'(t_j)) to be at least ``speed_floor``
-    (the numerical proxy for a nowhere-vanishing derivative).  The output
+    (the numerical proxy for a nowhere-vanishing derivative); a nan or
+    negative floor would switch that check off and is rejected.  The output
     lives on [0, phi(b)].  Unless ``check_tol`` is None, adjacent secant
     speeds of the output are verified to lie in [1 - check_tol,
     1 + check_tol]; a failure means the sampling is too coarse for the
@@ -74,6 +75,8 @@ def unit_speed_reparam(
     """
     if len(c.base) < 2:
         raise ValueError("unit_speed_reparam needs at least 2 samples")
+    if not speed_floor >= 0.0:
+        raise ValueError(f"speed_floor must be nonnegative, got {speed_floor:g}")
     speeds = np.asarray(eval_norm(spec, c.derivs), dtype=float)
     worst = float(speeds.min())
     if worst < speed_floor:

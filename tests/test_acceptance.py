@@ -127,6 +127,45 @@ def test_criterion_3_geodesic_optimality_strictly_convex():
         assert dt < 5.0, (p, segments)
 
 
+def test_criterion_10_geodesic_perturbed_starts():
+    # 32 segments from (0, 0) to (1, 1), each interior point moved by
+    # Gaussian noise of scale 0.2 |y - x| / s; the optimum is
+    # k* = s^(1 - beta) * |y - x|_p^beta, computed here from the lp formula
+    segments = 32
+    x, y = np.zeros(2), np.ones(2)
+    grid = np.linspace(0.0, 1.0, segments + 1)
+    points = x + grid[:, None] * (y - x)
+    rng = np.random.default_rng(0)
+    points[1:-1] += (0.2 * math.sqrt(2.0) / segments
+                     * rng.normal(size=(segments - 1, 2)))
+    start = Polyline(grid, points)
+    results = []
+    for name, metric, p, beta in (
+        ("l2", norm_metric(NormSpec(2)), 2.0, 1.0),
+        ("l1", norm_metric(NormSpec(1)), 1.0, 1.0),
+        ("l2^0.5", snowflake(norm_metric(NormSpec(2)), 0.5), 2.0, 0.5),
+    ):
+        k_star = segments ** (1.0 - beta) * float(np.sum(np.abs(y - x) ** p) ** (1.0 / p)) ** beta
+        started = time.perf_counter()
+        res = solve(GeodesicProblem(metric, x, y, segment_count=segments,
+                                    initial_path=start))
+        elapsed = time.perf_counter() - started
+        short = solve(GeodesicProblem(metric, x, y, segment_count=segments,
+                                      max_iters=50, initial_path=start))
+        results.append((name, res.converged, (res.k - k_star) / k_star, elapsed,
+                        short.converged, (short.k - k_star) / k_star))
+    ok = all(conv and gap <= 1e-9 and dt < 2.0 and not short_conv and short_gap > 1e-9
+             for _, conv, gap, dt, short_conv, short_gap in results)
+    worst = max(r[2] for r in results)
+    verdict(10, ok, f"3 perturbed starts, worst gap = {worst:.2e}")
+    for name, conv, gap, dt, short_conv, short_gap in results:
+        assert conv, name
+        assert gap <= 1e-9, name
+        assert dt < 2.0, name
+        assert not short_conv, name
+        assert short_gap > 1e-9, name
+
+
 def test_criterion_4_nonuniqueness_witnesses():
     l1 = norm_metric(NormSpec(1))
     stair = Polyline([0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])

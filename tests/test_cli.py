@@ -133,6 +133,9 @@ class TestGeodesicCommand:
         )
         assert code == 0
         assert out["k"] == 0.0
+        assert out["lower_bound"] == 0.0
+        assert out["gap"] == 0.0
+        assert out["converged"] is True
 
     def test_l1_diagonal(self, capsys):
         code, out = run(
@@ -142,6 +145,26 @@ class TestGeodesicCommand:
         )
         assert code == 0
         assert out["k"] == pytest.approx(2.0, abs=1e-3)
+
+    def test_certificate_fields(self, capsys):
+        code, out = run(
+            capsys,
+            ["geodesic", "--start", "0,0", "--end", "3,4", "--metric", "lp:2:snow:0.5",
+             "--segments", "16"],
+        )
+        assert code == 0
+        # the affine start is optimal: certified before any sweep
+        assert out["lower_bound"] == pytest.approx(16 ** 0.5 * 5.0 ** 0.5, rel=1e-12)
+        assert out["gap"] <= 1e-9
+        assert out["iterations"] == 0
+        assert out["converged"] is True
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_non_finite_or_non_positive_tolerance_exit_code(self, capsys, tol):
+        code = main(["geodesic", "--start", "0,0", "--end", "1,1", "--metric", "lp:2",
+                     f"--tol={tol}"])
+        assert code == EXIT_NUMERIC
+        assert "tolerance" in capsys.readouterr().err
 
     def test_dimension_mismatch_exit_code(self, capsys):
         code = main(["geodesic", "--start", "0,0", "--end", "1,1,1", "--metric", "lp:2"])
@@ -211,6 +234,19 @@ class TestReparamCommand:
             np.column_stack([t, np.zeros_like(t)]),  # speed vanishes at t = 0
         )
         assert main(["reparam", f, "--metric", "lp:2"]) == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("floor", ["nan", "-1"])
+    def test_nan_or_negative_speed_floor_exit_code(self, tmp_path, capsys, floor):
+        t = np.linspace(0.0, 1.0, 20)
+        f = write_curve(
+            tmp_path / "c.json", t,
+            np.column_stack([t * t / 2.0, np.zeros_like(t)]),
+            np.column_stack([t, np.zeros_like(t)]),
+        )
+        assert main(["reparam", f, "--metric", "lp:2", f"--speed-floor={floor}"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "speed_floor must be nonnegative" in err
+        assert "too coarse" not in err
 
     def test_snowflake_metric_rejected(self, tmp_path):
         t = np.linspace(0.0, 1.0, 5)

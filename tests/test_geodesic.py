@@ -121,9 +121,122 @@ class TestSolve:
             GeodesicProblem(L2, [0.0], [1.0], segment_count=0)
         with pytest.raises(ValueError):
             GeodesicProblem(L2, [0.0], [1.0], tolerance=0.0)
+        # an infinite tolerance would certify any path
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                GeodesicProblem(L2, [0.0], [1.0], tolerance=tol)
         bad = Polyline(np.linspace(0.0, 1.0, 4), np.zeros((4, 1)))
         with pytest.raises(ValueError):
             GeodesicProblem(L2, [0.0], [1.0], segment_count=3, initial_path=bad)
+
+
+def perturbed_start(start, end, segments, seed=0):
+    grid = np.linspace(0.0, 1.0, segments + 1)
+    points = affine_points(start, end, segments)
+    points[-1] = end
+    scale = 0.2 * float(np.linalg.norm(np.subtract(end, start))) / segments
+    rng = np.random.default_rng(seed)
+    points[1:-1] += scale * rng.normal(size=(segments - 1, len(start)))
+    return Polyline(grid, points)
+
+
+W3 = norm_metric(NormSpec(3, weights=(1.0, 0.5, 2.0)))
+RED_BLACK_CASES = [
+    (L2, [0.0, 0.0], [1.0, 1.0], 1),
+    (L2, [0.0, 0.0], [1.0, 1.0], 2),  # no even interior point
+    (L1, [0.3, -1.0], [2.0, 0.5], 3),
+    (W3, [0.1, 0.2, 0.3], [1.0, -1.0, 0.5], 9),
+    (snowflake(L2, 0.5), [0.0, 0.0], [1.0, 2.0], 10),
+    (snowflake(W3, 0.3), [0.0, 0.0, 0.0], [-1.0, 0.5, 2.0], 7),
+]
+
+
+def reference_sweeps(metric, points, sweeps):
+    """Red-black sweeps written one point and one candidate at a time."""
+    P = np.array(points, dtype=float)
+    segments, n = len(P) - 1, P.shape[1]
+    radius = float(np.max(np.ptp(P, axis=0))) / segments
+    for _ in range(sweeps):
+        for first in (1, 2):
+            for i in range(first, segments, 2):
+                a, b, cur = P[i - 1], P[i + 1], P[i].copy()
+                cands = [cur + lam * (0.5 * (a + b) - cur) for lam in (0.25, 0.5, 1.0)]
+                cands += [cur + radius * e for e in np.eye(n)]
+                cands += [cur - radius * e for e in np.eye(n)]
+                best = max(distance(metric, cur, a), distance(metric, cur, b))
+                for c in cands:
+                    val = max(distance(metric, c, a), distance(metric, c, b))
+                    if val < best:
+                        best, P[i] = val, c
+        radius *= 0.5
+    return P
+
+
+class TestRedBlack:
+    @pytest.mark.parametrize("metric, start, end, segments", RED_BLACK_CASES)
+    def test_batched_sweeps_match_pointwise_reference(self, metric, start, end, segments):
+        initial = perturbed_start(start, end, segments, seed=3)
+        for sweeps in (1, 4):
+            res = solve(GeodesicProblem(metric, start, end, segment_count=segments,
+                                        max_iters=sweeps, initial_path=initial))
+            expected = reference_sweeps(metric, initial.points, res.iterations)
+            assert np.array_equal(res.path.points, expected)
+
+    @pytest.mark.parametrize("metric, start, end, segments", RED_BLACK_CASES)
+    def test_perturbed_start_is_monotone_and_pinned(self, metric, start, end, segments):
+        prob = GeodesicProblem(metric, start, end, segment_count=segments,
+                               initial_path=perturbed_start(start, end, segments))
+        res = solve(prob)
+        assert np.all(np.diff(res.k_history) <= 0.0)
+        assert res.k_history[-1] == res.k
+        assert len(res.k_history) == res.iterations + 1
+        assert np.array_equal(res.path.points[0], start)
+        assert np.array_equal(res.path.points[-1], end)
+        assert res.converged
+        assert res.gap <= prob.tolerance
+
+    @pytest.mark.parametrize("metric, start, end, segments", RED_BLACK_CASES)
+    def test_affine_start_is_certified_without_a_sweep(self, metric, start, end, segments):
+        prob = GeodesicProblem(metric, start, end, segment_count=segments)
+        res = solve(prob)
+        expected = affine_points(start, end, segments)
+        expected[-1] = end
+        assert np.array_equal(res.path.points, expected)
+        assert res.iterations == 0
+        assert res.converged
+        assert res.gap <= prob.tolerance
+        assert res.k_history == (res.k,)
+
+    @pytest.mark.parametrize("metric, start, end, segments", RED_BLACK_CASES)
+    def test_lower_bound_and_gap(self, metric, start, end, segments):
+        res = solve(GeodesicProblem(metric, start, end, segment_count=segments))
+        bound = segments ** (1.0 - metric.beta) * distance(metric, start, end)
+        assert res.lower_bound == pytest.approx(bound, rel=1e-15)
+        assert res.gap == (res.k - res.lower_bound) / res.lower_bound
+
+    def test_coincident_endpoints_perturbed_start_is_not_certified(self):
+        # k shrinks toward 0 but never reaches it; the solver stops when a
+        # whole sweep moves no point, well before its sweep budget
+        start = perturbed_start([0.0, 0.0], [1.0, 1.0], 4).points.copy()
+        start[-1] = start[0]
+        prob = GeodesicProblem(L2, [0.0, 0.0], [0.0, 0.0], segment_count=4,
+                               initial_path=Polyline(np.linspace(0, 1, 5), start))
+        res = solve(prob)
+        assert res.iterations < prob.max_iters
+        assert res.k_history[-1] == res.k_history[-2]
+        assert res.lower_bound == 0.0
+        assert res.k > 0.0
+        assert res.gap == math.inf
+        assert not res.converged
+
+    def test_budget_exhausted_is_not_converged(self):
+        start, end = [0.0, 0.0], [1.0, 1.0]
+        prob = GeodesicProblem(L2, start, end, segment_count=16, max_iters=5,
+                               initial_path=perturbed_start(start, end, 16))
+        res = solve(prob)
+        assert res.iterations == 5
+        assert not res.converged
+        assert res.gap > prob.tolerance
 
 
 class TestStraightness:

@@ -103,6 +103,20 @@ class TestUnitSpeedReparam:
         with pytest.raises(SpeedFloorError):
             unit_speed_reparam(parabola_curve(t), L2SPEC)
 
+    @pytest.mark.parametrize("floor", [math.nan, -1.0])
+    def test_nan_or_negative_floor_rejected(self, floor):
+        # such a floor would switch the speed check off, and the vanishing
+        # speed would surface later as a misleading "too coarse" failure
+        t = np.linspace(0.0, 1.0, 50)
+        with pytest.raises(ValueError, match="speed_floor") as info:
+            unit_speed_reparam(parabola_curve(t), L2SPEC, speed_floor=floor)
+        assert not isinstance(info.value, SpeedFloorError)
+
+    def test_zero_floor_accepted(self):
+        t = np.linspace(0.1, 1.0, 500)
+        q = unit_speed_reparam(parabola_curve(t), L2SPEC, speed_floor=0.0)
+        assert q.params[0] == 0.0
+
     def test_coarse_sampling_fails_secant_check(self):
         t = np.linspace(0.0, math.pi / 2.0, 5)
         pts = np.column_stack([np.cos(t), np.sin(t)])
