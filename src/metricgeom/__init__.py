@@ -21,7 +21,6 @@ from .holder import (
     fit_holder,
     hausdorff_covering_sum,
     koch_generator,
-    lip_calculus,
     lip_compose,
     lip_product,
     lip_scale,
@@ -90,7 +89,6 @@ __all__ = [
     "koch_generator",
     "length",
     "linfty_geodesic_family",
-    "lip_calculus",
     "lip_compose",
     "lip_product",
     "lip_scale",

@@ -14,16 +14,29 @@ which the equispaced affine path attains: the affine path is optimal
 for every such metric, strictly convex or not, and this lower bound
 certifies any path the solver returns.
 
-The solver relaxes the interior points in red-black order: all odd
-points, then all even ones.  A point's local objective
-max(d(prev, c), d(c, next)) involves only points of the other colour,
-so each half-sweep replaces every point of one colour at once with the
-best member of a deterministic candidate set (a line search toward the
-midpoint of its neighbours plus coordinate perturbations of decaying
-radius).  Only strict improvements are accepted, and points of one
-colour share no segment, so k never increases across sweeps.
-Everything is metric-only: no gradients, so snowflaked metrics work
-unchanged.
+The local step is exact.  For a point c between fixed neighbours a and
+b, N(c - a) + N(b - c) >= N(b - a), so
+
+    max(d(a, c), d(c, b)) >= (N(b - a) / 2)^beta,
+
+and the midpoint (a + b) / 2 attains it: for every admissible metric the
+midpoint minimises the local objective.  Moving every point to its
+neighbours' midpoint is Gauss-Seidel on the 1-D Laplacian, so the solver
+over-relaxes it (red-black SOR) with Young's optimal factor
+
+    omega = 2 / (1 + sin(pi / s))
+
+for s segments (Briggs, Henson and McCormick, A Multigrid Tutorial,
+ch. 2), which cuts the sweeps needed from O(s^2) to O(s).
+
+The interior points are relaxed in red-black order: all odd points, then
+all even ones.  A point's local objective involves only points of the
+other colour, so each half-sweep updates every point of one colour at
+once.  Each point takes the over-relaxed point c + omega (mid - c) when
+its local objective is strictly below the incumbent's, else the midpoint
+when that is, else it stays.  Points of one colour share no segment, so
+k never increases across sweeps.  Everything is metric-only: no
+gradients, so snowflaked metrics work unchanged.
 """
 
 from __future__ import annotations
@@ -36,9 +49,6 @@ import numpy as np
 from .curves import Polyline
 from .metrics import Metric, _dist_raw
 from .norms import DimensionMismatch, as_vector
-
-_LAMBDAS = np.array([0.25, 0.5, 1.0])
-
 
 @dataclass(frozen=True, eq=False)
 class GeodesicProblem:
@@ -115,17 +125,20 @@ def _relative_gap(k: float, lower_bound: float) -> float:
 def solve(prob: GeodesicProblem) -> GeodesicResult:
     """Relax the path until its constant is certified optimal.
 
-    Each sweep is two half-sweeps, odd interior points then even ones;
-    a point's objective involves only points of the other colour, so
-    every half-sweep updates all its points in one batch.  The solver
-    stops with ``converged=True`` as soon as ``gap <= tolerance`` (the
-    affine default start meets it before any sweep, unless ``tolerance``
-    is below the rounding error of k), and with ``converged=False`` when
+    Each sweep is two half-sweeps, odd interior points then even ones.
+    In a half-sweep every point c of that colour, with neighbours a and
+    b and midpoint mid = (a + b) / 2, moves to c + omega (mid - c) when
+    that strictly lowers max(d(a, c), d(c, b)), else to mid when that
+    does, where omega = 2 / (1 + sin(pi / s)) is fixed by the segment
+    count s.  The midpoint is an exact local minimiser, so a point stays
+    only when it is already locally optimal.  The solver stops with
+    ``converged=True`` as soon as ``gap <= tolerance`` (the affine
+    default start meets it before any sweep, unless ``tolerance`` is
+    below the rounding error of k), and with ``converged=False`` when
     ``max_iters`` sweeps run out or a whole sweep moves no point.
     """
     m = prob.metric
     segs = prob.segment_count
-    n = prob.start.size
     grid = np.linspace(0.0, 1.0, segs + 1)
     if prob.initial_path is not None:
         P = prob.initial_path.points.copy()
@@ -141,8 +154,8 @@ def solve(prob: GeodesicProblem) -> GeodesicResult:
     k = path_k(P)
     history = [k]
     lower_bound = float(segs ** (1.0 - m.beta) * _dist_raw(m, prob.start, prob.end))
-    radius = float(np.max(np.ptp(P, axis=0))) / segs
-    eye = np.eye(n)
+    # Young's optimal over-relaxation factor for the 1-D Laplacian on s segments
+    omega = 2.0 / (1.0 + math.sin(math.pi / segs))
     colours = (np.arange(1, segs, 2), np.arange(2, segs, 2))
     iterations = 0
 
@@ -153,23 +166,19 @@ def solve(prob: GeodesicProblem) -> GeodesicResult:
             a = P[idx - 1][:, None, :]
             b = P[idx + 1][:, None, :]
             cur = P[idx][:, None, :]
-            # candidates: the incumbent, the line search toward the
-            # neighbours' midpoint, then +-radius along each axis
-            cands = np.concatenate([
-                cur,
-                cur + _LAMBDAS[:, None] * (0.5 * (a + b) - cur),
-                cur + radius * eye,
-                cur - radius * eye,
-            ], axis=1)
+            mid = 0.5 * (a + b)
+            # candidates: the incumbent, the over-relaxed point, the midpoint
+            cands = np.concatenate([cur, cur + omega * (mid - cur), mid], axis=1)
             vals = np.maximum(_dist_raw(m, cands, a), _dist_raw(m, cands, b))
-            j = np.argmin(vals, axis=1)  # ties keep the incumbent (index 0)
+            beats = vals[:, 1:] < vals[:, :1]
+            # the over-relaxed point when it beats the incumbent, else the midpoint
+            j = np.where(beats[:, 0], 1, np.where(beats[:, 1], 2, 0))
             better = j > 0
             if better.any():
                 moved = True
                 P[idx[better]] = cands[better, j[better]]
         k = path_k(P)
         history.append(k)
-        radius *= 0.5
         if not moved:
             break
 

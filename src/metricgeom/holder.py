@@ -81,46 +81,13 @@ def lip_compose(outer: LipBound, inner: LipBound) -> LipBound:
     return LipBound(outer.C * inner.C ** outer.alpha, outer.alpha * inner.alpha)
 
 
-def lip_calculus(
-    op: str,
-    b1: LipBound,
-    b2: LipBound | None = None,
-    *,
-    a: float | None = None,
-    sup1: float | None = None,
-    sup2: float | None = None,
-) -> LipBound:
-    """Dispatch over the bound arithmetic: 'sum', 'scale', 'product', 'compose'.
-
-    'compose' treats ``b1`` as the outer map (applied after ``b2``).
-    """
-    if op == "sum":
-        return lip_sum(b1, _require(b2, "sum needs b2"))
-    if op == "scale":
-        if a is None:
-            raise ValueError("scale needs the factor a")
-        return lip_scale(b1, a)
-    if op == "product":
-        if sup1 is None or sup2 is None:
-            raise ValueError("product needs sup bounds for both factors")
-        return lip_product(b1, _require(b2, "product needs b2"), sup1, sup2)
-    if op == "compose":
-        return lip_compose(b1, _require(b2, "compose needs b2"))
-    raise ValueError(f"unknown op {op!r}")
-
-
-def _require(b: LipBound | None, msg: str) -> LipBound:
-    if b is None:
-        raise ValueError(msg)
-    return b
-
-
 def _require_equal_alpha(b1: LipBound, b2: LipBound, op: str) -> None:
     if b1.alpha != b2.alpha:
         raise ValueError(f"{op} requires equal orders, got {b1.alpha} and {b2.alpha}")
 
 
 _PAIR_BLOCK = 512
+_TINY = np.finfo(float).tiny
 
 
 def fit_holder(
@@ -163,9 +130,11 @@ def fit_holder(
     best = -1.0
     witness = (0, 1)
     bad_pair: tuple[int, int] | None = None
+    # count, mean and summed squared deviation of g = log d2 - alpha log d1,
+    # merged block by block (Chan et al.) so the residual suffers no cancellation
     n_res = 0
-    sum_g = 0.0
-    sum_g2 = 0.0
+    mean_g = 0.0
+    m2_g = 0.0
     for i0 in range(0, count - 1, _PAIR_BLOCK):
         i1 = min(i0 + _PAIR_BLOCK, count - 1)
         D1 = _dist_raw(d1, X[i0:i1, None, :], X[None, i0 + 1 :, :])
@@ -178,18 +147,28 @@ def fit_holder(
             r, c = np.nonzero(zero_d1 & (D2 > 0.0))
             bad_pair = (int(rows[r[0], 0]), int(cols[0, c[0]]))
         usable = valid & (D1 > 0.0)
-        ratios = np.where(usable, D2 / np.where(usable, D1, 1.0) ** alpha, -np.inf)
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            scale = np.where(usable, D1, 1.0) ** alpha
+            # where d1^alpha leaves the normal range, take the ratio from logarithms
+            low = usable & (scale < _TINY)
+            ratios = np.divide(D2, scale, out=scale)
+            if low.any():
+                ratios[low] = np.exp(np.log(D2[low]) - alpha * np.log(D1[low]))
+        ratios[~usable] = -np.inf
         flat = int(np.argmax(ratios))
         if ratios.flat[flat] > best:
             best = float(ratios.flat[flat])
             r, c = np.unravel_index(flat, ratios.shape)
             witness = (int(rows[r, 0]), int(cols[0, c]))
-        with np.errstate(divide="ignore"):
-            pos = usable & (D2 > 0.0)
-            g = np.log(D2[pos]) - alpha * np.log(D1[pos])
-        n_res += g.size
-        sum_g += float(g.sum())
-        sum_g2 += float((g * g).sum())
+        pos = usable & (D2 > 0.0)
+        g = np.log(D2[pos]) - alpha * np.log(D1[pos])
+        if g.size:
+            g_mean = float(g.mean())
+            delta = g_mean - mean_g
+            total = n_res + g.size
+            m2_g += float(np.sum((g - g_mean) ** 2)) + delta * delta * n_res * g.size / total
+            mean_g += delta * g.size / total
+            n_res = total
 
     if bad_pair is not None:
         return HolderFit(math.inf, alpha, math.inf, bad_pair)
@@ -197,10 +176,7 @@ def fit_holder(
         return HolderFit(0.0, alpha, 0.0, (0, 1))
     C = max(best, 0.0)
     if C > 0.0 and n_res > 0:
-        log_c = math.log(C)
-        mean_g = sum_g / n_res
-        mean_g2 = sum_g2 / n_res
-        residual = math.sqrt(max(0.0, mean_g2 - 2.0 * log_c * mean_g + log_c * log_c))
+        residual = math.sqrt(m2_g / n_res + (mean_g - math.log(C)) ** 2)
     else:
         residual = 0.0
     return HolderFit(C, alpha, residual, witness)

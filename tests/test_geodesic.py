@@ -8,6 +8,7 @@ from metricgeom import (
     NormSpec,
     Polyline,
     distance,
+    eval_norm,
     lipschitz_estimate,
     linfty_geodesic_family,
     norm_metric,
@@ -152,23 +153,25 @@ RED_BLACK_CASES = [
 
 
 def reference_sweeps(metric, points, sweeps):
-    """Red-black sweeps written one point and one candidate at a time."""
+    """Red-black SOR sweeps written one point and one candidate at a time."""
     P = np.array(points, dtype=float)
-    segments, n = len(P) - 1, P.shape[1]
-    radius = float(np.max(np.ptp(P, axis=0))) / segments
+    segments = len(P) - 1
+    omega = 2.0 / (1.0 + math.sin(math.pi / segments))
+
+    def local(c, a, b):
+        return max(distance(metric, c, a), distance(metric, c, b))
+
     for _ in range(sweeps):
         for first in (1, 2):
             for i in range(first, segments, 2):
                 a, b, cur = P[i - 1], P[i + 1], P[i].copy()
-                cands = [cur + lam * (0.5 * (a + b) - cur) for lam in (0.25, 0.5, 1.0)]
-                cands += [cur + radius * e for e in np.eye(n)]
-                cands += [cur - radius * e for e in np.eye(n)]
-                best = max(distance(metric, cur, a), distance(metric, cur, b))
-                for c in cands:
-                    val = max(distance(metric, c, a), distance(metric, c, b))
-                    if val < best:
-                        best, P[i] = val, c
-        radius *= 0.5
+                mid = 0.5 * (a + b)
+                incumbent = local(cur, a, b)
+                sor = cur + omega * (mid - cur)
+                if local(sor, a, b) < incumbent:
+                    P[i] = sor
+                elif local(mid, a, b) < incumbent:
+                    P[i] = mid
     return P
 
 
@@ -237,6 +240,39 @@ class TestRedBlack:
         assert res.iterations == 5
         assert not res.converged
         assert res.gap > prob.tolerance
+
+    @pytest.mark.parametrize("metric, start, end, segments", RED_BLACK_CASES)
+    def test_midpoint_is_the_exact_local_minimiser(self, metric, start, end, segments):
+        # N(c - a) + N(b - c) >= N(b - a) bounds max(d(a, c), d(c, b)) below by
+        # (N(b - a) / 2)^beta, which the midpoint attains
+        rng = np.random.default_rng(segments)
+        dim = len(start)
+        for _ in range(20):
+            a, b = rng.normal(size=(2, dim))
+            mid = 0.5 * (a + b)
+            optimum = (eval_norm(metric.norm, b - a) / 2.0) ** metric.beta
+            at_mid = max(distance(metric, mid, a), distance(metric, mid, b))
+            assert at_mid == pytest.approx(optimum, rel=1e-14)
+            near = mid + 1e-3 * float(np.linalg.norm(b - a)) * rng.normal(size=(200, dim))
+            vals = np.maximum(distance(metric, near, a), distance(metric, near, b))
+            assert np.all(vals >= at_mid * (1.0 - 1e-14))
+
+    @pytest.mark.parametrize("metric, start, end", [
+        (L2, [0.0, 0.0], [1.0, 1.0]),
+        (L1, [0.3, -1.0], [2.0, 0.5]),
+        (W3, [0.1, 0.2, 0.3], [1.0, -1.0, 0.5]),
+    ])
+    @pytest.mark.parametrize("segments", [64, 256])
+    def test_sweeps_grow_linearly_with_segments(self, metric, start, end, segments):
+        # over-relaxation converges in O(s) sweeps; plain midpoint relaxation
+        # needs O(s^2), about 6100 sweeps at 64 segments
+        prob = GeodesicProblem(metric, start, end, segment_count=segments,
+                               initial_path=perturbed_start(start, end, segments))
+        res = solve(prob)
+        assert res.converged
+        assert res.gap <= prob.tolerance
+        assert np.all(np.diff(res.k_history) <= 0.0)
+        assert res.iterations <= 4 * segments
 
 
 class TestStraightness:

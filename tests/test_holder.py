@@ -12,7 +12,6 @@ from metricgeom import (
     hausdorff_covering_sum,
     koch_generator,
     length,
-    lip_calculus,
     lip_compose,
     lip_product,
     lip_scale,
@@ -58,18 +57,6 @@ class TestLipCalculus:
     def test_product_rule(self):
         got = lip_product(LipBound(2.0, 1.0), LipBound(3.0, 1.0), sup1=4.0, sup2=5.0)
         assert got == LipBound(2.0 * 5.0 + 3.0 * 4.0, 1.0)
-
-    def test_dispatcher(self):
-        assert lip_calculus("sum", LipBound(1.0, 1.0), LipBound(2.0, 1.0)).C == 3.0
-        assert lip_calculus("scale", LipBound(1.0, 1.0), a=-2.0).C == 2.0
-        assert lip_calculus(
-            "product", LipBound(1.0, 1.0), LipBound(1.0, 1.0), sup1=1.0, sup2=1.0
-        ).C == 2.0
-        assert lip_calculus("compose", LipBound(2.0, 1.0), LipBound(3.0, 1.0)).C == 6.0
-        with pytest.raises(ValueError):
-            lip_calculus("divide", LipBound(1.0, 1.0))
-        with pytest.raises(ValueError):
-            lip_calculus("product", LipBound(1.0, 1.0), LipBound(1.0, 1.0))
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
@@ -175,6 +162,28 @@ class TestFitHolder:
             d2 = np.linalg.norm(ys[:, None, :] - ys[None, :, :], axis=-1)
             mask = d1 > 0
             assert np.all(d2[mask] <= fit.C * d1[mask] ** alpha * (1 + 1e-12))
+
+    def test_underflowing_order_power_keeps_a_finite_constant(self):
+        # d1^alpha = 1e-400 underflows; the ratio 1e-300 / 1e-400 is 1e100
+        with np.errstate(all="raise"):
+            fit = fit_holder([0.0, 1e-200, 1.0], [0.0, 1e-300, 1.0], L1, L1, alpha=2.0)
+        assert fit.is_holder
+        assert fit.C == pytest.approx(1e100, rel=1e-12)
+        assert fit.witness == (0, 1)
+        assert math.isfinite(fit.residual)
+        # a pair with equal images and an underflowing d1^alpha has ratio 0
+        with np.errstate(all="raise"):
+            fit = fit_holder([0.0, 1e-200, 1.0], [0.0, 0.0, 1.0], L1, L1, alpha=2.0)
+        assert fit.C == 1.0
+
+    @pytest.mark.parametrize("slope", [3.0, 1e6, 1e-6])
+    def test_exactly_linear_data_has_no_residual(self, slope):
+        # every pair has the same log ratio up to the rounding of slope * x
+        for seed in range(20):
+            xs = np.sort(np.random.default_rng(seed).uniform(size=300))
+            fit = fit_holder(xs, slope * xs, L1, L1, alpha=1.0)
+            assert fit.C == pytest.approx(slope, rel=1e-9)
+            assert fit.residual < 1e-9
 
 
 class TestOrderAboveOneCollapse:
