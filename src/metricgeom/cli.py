@@ -293,10 +293,14 @@ def cmd_holder(args) -> int:
     )
     _emit({
         "holder": fit.is_holder,
-        "C": fit.C if fit.is_holder else None,
+        "C": fit.C,
         "alpha": fit.alpha,
-        "residual": fit.residual if fit.is_holder else None,
+        "residual": fit.residual,
         "witness": list(fit.witness),
+        "log_C": fit.log_C,
+        "pairs_scanned": fit.pairs_scanned,
+        "regression_pairs": fit.regression_pairs,
+        "subsampled": fit.subsampled,
     })
     return EXIT_OK
 

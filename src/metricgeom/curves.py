@@ -79,7 +79,7 @@ def length(c: Polyline, m: Metric) -> float:
     _check_dim(c, m)
     if len(c) < 2:
         return 0.0
-    return float(np.sum(_dist_raw(m, c.points[1:], c.points[:-1])))
+    return float(np.sum(_steps(m, c.points)))
 
 
 def lipschitz_estimate(c: Polyline, m: Metric) -> float:
@@ -95,8 +95,21 @@ def lipschitz_estimate(c: Polyline, m: Metric) -> float:
     _check_dim(c, m)
     if len(c) < 2:
         raise ValueError("lipschitz_estimate needs at least 2 samples")
-    P = c.points
-    return float((_dist_raw(m, P[1:], P[:-1]) / np.diff(c.params)).max())
+    return float((_steps(m, c.points) / np.diff(c.params)).max())
+
+
+# Rows per _dist_raw call in _steps: small enough that every temporary is
+# reused from the heap instead of being mapped and page-faulted afresh.
+_STEP_CHUNK = 1 << 13
+
+
+def _steps(m: Metric, P: np.ndarray) -> np.ndarray:
+    """The distances d(P[i + 1], P[i]), computed a chunk of rows at a time."""
+    out = np.empty(len(P) - 1)
+    for a in range(0, len(out), _STEP_CHUNK):
+        b = min(a + _STEP_CHUNK, len(out))
+        out[a:b] = _dist_raw(m, P[a + 1 : b + 1], P[a:b])
+    return out
 
 
 def glue(c1: Polyline, c2: Polyline, snap_tol: float | None = None) -> Polyline:

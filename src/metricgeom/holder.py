@@ -34,21 +34,32 @@ class HolderFit:
     """Fitted Holder data for a sampled map.
 
     ``C`` is the tight constant over all sample pairs at ``alpha`` and the
-    ``witness`` pair attains it exactly.  ``residual`` is the RMS spread of
-    log d2 - (log C + alpha log d1) over usable pairs.  A pair of
-    coincident domain points with distinct images makes the data
-    non-Holder: then C and residual are inf and the witness is the
-    offending pair.
+    ``witness`` pair attains it exactly; among several such pairs it is
+    the lexicographically smallest (i, j), i < j.  ``log_C`` is log C,
+    also where C itself overflows to inf (then it comes from the
+    logarithms of the witness distances).  ``residual`` is the RMS of
+    log d2 - (log C + alpha log d1) over the ``regression_pairs`` pairs
+    with finite positive d1 and d2 that the order regression uses: all pairs, or a seeded
+    subsample when ``subsampled``.  ``pairs_scanned`` counts the pairs
+    whose ratio the branch-and-bound evaluated exactly.
+
+    A pair of coincident domain points with distinct images makes the
+    data non-Holder: then C, log_C and residual are inf and the witness
+    is the offending pair.
     """
 
     C: float
     alpha: float
     residual: float
     witness: tuple[int, int]
+    log_C: float
+    pairs_scanned: int
+    regression_pairs: int
+    subsampled: bool
 
     @property
     def is_holder(self) -> bool:
-        return math.isfinite(self.C)
+        return self.log_C < math.inf
 
 
 def lip_sum(b1: LipBound, b2: LipBound) -> LipBound:
@@ -86,7 +97,16 @@ def _require_equal_alpha(b1: LipBound, b2: LipBound, op: str) -> None:
         raise ValueError(f"{op} requires equal orders, got {b1.alpha} and {b2.alpha}")
 
 
-_PAIR_BLOCK = 512
+# Level-l blocks hold _LEAF * _FANOUT**l consecutive samples; leaf pairs
+# are scanned exactly.
+_LEAF = 16
+_FANOUT = 16
+# Block pairs per batch: a leaf batch scans 2^16 sample pairs, and every
+# temporary stays near 1 MB.
+_BATCH = 256
+# Relative padding of the block-pair bounds.  It is far above the rounding
+# of any distance, so rounding can never prune the pair that attains C.
+_SLACK = 1e-9
 _TINY = np.finfo(float).tiny
 
 
@@ -106,11 +126,18 @@ def fit_holder(
     pairs (the tight constant, with the attaining pair as witness).  With
     ``alpha`` None, the order is estimated first as the least-squares
     slope of log d2 against log d1, then C is tightened at that order.
-    The regression uses every pair up to ``max_regression_pairs`` and a
-    seeded uniform subsample beyond that; the constant always scans all
-    pairs.  Coincident domain pairs are excluded from the regression; if
-    such a pair has distinct images the data is not Holder of any order
-    and the fit reports C = inf with that pair as witness.
+
+    The regression pairs are every pair up to ``max_regression_pairs``
+    and a seeded uniform subsample beyond that; the residual is taken
+    over the same pairs.  Pairs with d1 or d2 zero or beyond the float
+    range are left out of both.  C is exact all the same: a branch-and-bound over index blocks
+    bounds the ratio of every pair of blocks by the triangle inequality,
+    which holds for every ``Metric``, and scans exactly only the block
+    pairs whose bound reaches the best ratio found.
+
+    If a pair of coincident domain points has distinct images, the data
+    is not Holder of any order and the fit reports C = inf with that pair
+    as witness.
     """
     X = _as_points(domain_pts)
     Y = _as_points(range_pts)
@@ -119,77 +146,46 @@ def fit_holder(
     count = len(X)
     if count < 2:
         raise ValueError("need at least 2 samples to fit")
-
-    if alpha is None:
-        alpha = _regress_alpha(X, Y, d1, d2, max_regression_pairs, seed)
-    else:
+    if alpha is not None:
         alpha = float(alpha)
         if not 0.0 < alpha < math.inf:
             raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
 
-    best = -1.0
-    witness = (0, 1)
-    bad_pair: tuple[int, int] | None = None
-    # count, mean and summed squared deviation of g = log d2 - alpha log d1,
-    # merged block by block (Chan et al.) so the residual suffers no cancellation
-    n_res = 0
-    mean_g = 0.0
-    m2_g = 0.0
-    for i0 in range(0, count - 1, _PAIR_BLOCK):
-        i1 = min(i0 + _PAIR_BLOCK, count - 1)
-        D1 = _dist_raw(d1, X[i0:i1, None, :], X[None, i0 + 1 :, :])
-        D2 = _dist_raw(d2, Y[i0:i1, None, :], Y[None, i0 + 1 :, :])
-        rows = np.arange(i0, i1)[:, None]
-        cols = np.arange(i0 + 1, count)[None, :]
-        valid = cols > rows
-        zero_d1 = valid & (D1 == 0.0)
-        if bad_pair is None and np.any(zero_d1 & (D2 > 0.0)):
-            r, c = np.nonzero(zero_d1 & (D2 > 0.0))
-            bad_pair = (int(rows[r[0], 0]), int(cols[0, c[0]]))
-        usable = valid & (D1 > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            scale = np.where(usable, D1, 1.0) ** alpha
-            # where d1^alpha leaves the normal range, take the ratio from logarithms
-            low = usable & (scale < _TINY)
-            ratios = np.divide(D2, scale, out=scale)
-            if low.any():
-                ratios[low] = np.exp(np.log(D2[low]) - alpha * np.log(D1[low]))
-        ratios[~usable] = -np.inf
-        flat = int(np.argmax(ratios))
-        if ratios.flat[flat] > best:
-            best = float(ratios.flat[flat])
-            r, c = np.unravel_index(flat, ratios.shape)
-            witness = (int(rows[r, 0]), int(cols[0, c]))
-        pos = usable & (D2 > 0.0)
-        g = np.log(D2[pos]) - alpha * np.log(D1[pos])
-        if g.size:
-            g_mean = float(g.mean())
-            delta = g_mean - mean_g
-            total = n_res + g.size
-            m2_g += float(np.sum((g - g_mean) ** 2)) + delta * delta * n_res * g.size / total
-            mean_g += delta * g.size / total
-            n_res = total
+    log_d1, log_d2, subsampled = _regression_logs(X, Y, d1, d2, max_regression_pairs, seed)
+    if alpha is None:
+        if len(log_d1) < 2:
+            raise ValueError("not enough distinct pairs to fit an order")
+        alpha = float(np.polyfit(log_d1, log_d2, 1)[0])
 
-    if bad_pair is not None:
-        return HolderFit(math.inf, alpha, math.inf, bad_pair)
-    if best < 0.0:  # every domain pair coincident, all images equal
-        return HolderFit(0.0, alpha, 0.0, (0, 1))
-    C = max(best, 0.0)
-    if C > 0.0 and n_res > 0:
-        residual = math.sqrt(m2_g / n_res + (mean_g - math.log(C)) ** 2)
-    else:
-        residual = 0.0
-    return HolderFit(C, alpha, residual, witness)
+    scan = _MaxRatioScan(X, Y, d1, d2, alpha)
+    scan.run()
+    stats = dict(pairs_scanned=scan.pairs_scanned, regression_pairs=len(log_d1),
+                 subsampled=subsampled)
+    if scan.bad_key is not None:
+        return HolderFit(math.inf, alpha, math.inf, divmod(scan.bad_key, count),
+                         math.inf, **stats)
+    if scan.best < 0.0:  # every domain pair coincident, all images equal
+        return HolderFit(0.0, alpha, 0.0, (0, 1), -math.inf, **stats)
+    C = scan.best
+    log_C = scan.best_log if C == math.inf else math.log(C) if C > 0.0 else -math.inf
+    residual = 0.0
+    if math.isfinite(log_C) and len(log_d1):
+        g = log_d2 - alpha * log_d1
+        mean = float(g.mean())
+        residual = math.sqrt(float(np.sum((g - mean) ** 2)) / g.size + (mean - log_C) ** 2)
+    return HolderFit(C, alpha, residual, divmod(scan.key, count), log_C, **stats)
 
 
-def _regress_alpha(
+def _regression_logs(
     X: np.ndarray,
     Y: np.ndarray,
     d1: Metric,
     d2: Metric,
     max_pairs: int,
     seed: int,
-) -> float:
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """log d1 and log d2 over the regression pairs where both are finite,
+    and whether those pairs are a subsample."""
     count = len(X)
     total = count * (count - 1) // 2
     if total <= max_pairs:
@@ -208,11 +204,153 @@ def _regress_alpha(
         jj = jj[:max_pairs]
     D1 = _dist_raw(d1, X[ii], X[jj])
     D2 = _dist_raw(d2, Y[ii], Y[jj])
-    ok = (D1 > 0.0) & (D2 > 0.0)
-    if np.count_nonzero(ok) < 2:
-        raise ValueError("not enough distinct pairs to fit an order")
-    slope, _ = np.polyfit(np.log(D1[ok]), np.log(D2[ok]), 1)
-    return float(slope)
+    ok = (0.0 < D1) & (D1 < math.inf) & (0.0 < D2) & (D2 < math.inf)
+    return np.log(D1[ok]), np.log(D2[ok]), total > max_pairs
+
+
+class _MaxRatioScan:
+    """Branch-and-bound for the largest d2 / d1^alpha over the pairs i < j.
+
+    Samples are split into index blocks on levels: leaves of ``_LEAF``
+    samples, and each level's blocks gather ``_FANOUT`` blocks of the
+    level below.  Each block has an anchor sample a and radii R1, R2, the
+    largest d1 and d2 from a to its samples.  For i in block I and j in
+    block J the triangle inequality gives
+
+        d2(i, j) <= d2(a_I, a_J) + R2_I + R2_J = U,
+        d1(i, j) >= d1(a_I, a_J) - R1_I - R1_J = L,
+
+    so U / L^alpha bounds every ratio of the block pair (infinite when
+    L <= 0, which covers every coincident pair).  Starting from the one
+    root pair, block pairs are split depth first, highest bound first, in
+    batches, and dropped once their bound is below the best ratio found.
+    A block pair whose bound equals the best is kept, so every pair that
+    attains the maximum is scanned and ``key`` is the lexicographically
+    smallest of them (as i * count + j), as a row-major scan of all pairs
+    would return.
+
+    The exact ratio is d2 / d1^alpha, taken from logarithms where d1^alpha
+    leaves the normal range.  Where the ratio overflows, ``best`` is inf
+    and ``best_log`` holds the largest log ratio.  ``bad_key`` is the
+    smallest pair with d1 = 0 < d2, if any.
+    """
+
+    def __init__(self, X, Y, d1: Metric, d2: Metric, alpha: float):
+        self.count = count = len(X)
+        self.d1, self.d2, self.alpha = d1, d2, alpha
+        self.levels = []
+        size = _LEAF
+        while True:
+            self.levels.append(_block_anchors(X, d1, size) + _block_anchors(Y, d2, size))
+            if size >= count:
+                break
+            size *= _FANOUT
+        rows = np.minimum(np.arange(len(self.levels[0][0]) * _LEAF), count - 1)
+        self.XL = X[rows].reshape(-1, _LEAF, X.shape[1])
+        self.YL = Y[rows].reshape(-1, _LEAF, Y.shape[1])
+        self.best = -1.0
+        self.best_log = -math.inf
+        self.key = 0
+        self.bad_key = None
+        self.pairs_scanned = 0
+
+    def run(self) -> None:
+        root = np.zeros(1, dtype=np.intp)
+        stack = [(len(self.levels) - 1, root, root, np.full(1, math.inf))]
+        while stack:
+            level, I, J, bound = stack.pop()
+            keep = bound >= self.best
+            if not keep.any():
+                continue
+            I, J = I[keep], J[keep]
+            if level == 0:
+                self._scan_leaves(I, J)
+                continue
+            level -= 1
+            I, J = _child_pairs(I, J, len(self.levels[level][0]))
+            bound = self._bounds(level, I, J)
+            order = np.argsort(-bound, kind="stable")
+            order = order[: np.count_nonzero(bound >= self.best)]
+            for s in range((len(order) - 1) // _BATCH * _BATCH, -1, -_BATCH):
+                part = order[s : s + _BATCH]
+                stack.append((level, I[part], J[part], bound[part]))
+
+    def _bounds(self, level: int, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        AX, R1, AY, R2 = self.levels[level]
+        with np.errstate(all="ignore"):
+            upper = (_dist_raw(self.d2, AY[I], AY[J]) + R2[I] + R2[J]) * (1.0 + _SLACK)
+            gap = _dist_raw(self.d1, AX[I], AX[J])
+            reach = R1[I] + R1[J]
+            lower = np.maximum(gap - reach - _SLACK * (gap + reach), 0.0) ** self.alpha
+            return np.where(lower >= _TINY, upper / lower, math.inf)
+
+    def _scan_leaves(self, I: np.ndarray, J: np.ndarray) -> None:
+        D1 = _dist_raw(self.d1, self.XL[I][:, :, None, :], self.XL[J][:, None, :, :])
+        D2 = _dist_raw(self.d2, self.YL[I][:, :, None, :], self.YL[J][:, None, :, :])
+        offset = np.arange(_LEAF)
+        rows = (I * _LEAF)[:, None, None] + offset[None, :, None]
+        cols = (J * _LEAF)[:, None, None] + offset[None, None, :]
+        valid = (rows < cols) & (cols < self.count)
+        self.pairs_scanned += int(np.count_nonzero(valid))
+
+        def smallest(mask) -> int:
+            k, r, c = np.unravel_index(np.flatnonzero(mask), mask.shape)
+            return int(np.min((I[k] * _LEAF + r) * self.count + J[k] * _LEAF + c))
+
+        bad = valid & (D1 == 0.0) & (D2 > 0.0)
+        if bad.any():
+            key = smallest(bad)
+            self.bad_key = key if self.bad_key is None else min(self.bad_key, key)
+            self.best = math.inf  # only block pairs that may hold coincident pairs remain
+            return
+        usable = valid & (D1 > 0.0) & (D1 < math.inf)  # d1 = inf only where x - y overflows
+        alpha = self.alpha
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
+            scale = np.where(usable, D1, 1.0) ** alpha
+            # where d1^alpha leaves the normal range, take the ratio from logarithms
+            low = usable & (scale < _TINY)
+            ratios = np.divide(D2, scale, out=scale)
+            if low.any():
+                ratios[low] = np.exp(np.log(D2[low]) - alpha * np.log(D1[low]))
+        ratios[~usable] = -np.inf
+        top = float(ratios.max())
+        if top < self.best or top < 0.0:
+            return
+        at_top = ratios == top
+        if top == math.inf:  # overflow: compare the log ratios instead
+            g = np.full(ratios.shape, -np.inf)
+            g[at_top] = np.log(D2[at_top]) - alpha * np.log(D1[at_top])
+            top_log = float(g.max())
+            if self.best == math.inf and top_log < self.best_log:
+                return
+            at_top = g == top_log
+            tie = self.best == math.inf and top_log == self.best_log
+            self.best_log = top_log
+        else:
+            tie = top == self.best
+        key = smallest(at_top)
+        self.key = min(self.key, key) if tie else key
+        self.best = top
+
+
+def _block_anchors(P: np.ndarray, d: Metric, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor points (each block's middle sample) and radii under ``d`` of
+    the blocks of ``size`` consecutive samples."""
+    count = len(P)
+    starts = np.arange(0, count, size)
+    anchors = np.minimum(starts + size // 2, count - 1)
+    owner = np.repeat(anchors, np.diff(np.append(starts, count)))
+    return P[anchors], np.maximum.reduceat(_dist_raw(d, P, P[owner]), starts)
+
+
+def _child_pairs(I: np.ndarray, J: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i <= j < blocks, of child blocks of the block pairs (I, J), I <= J."""
+    a = np.repeat(np.arange(_FANOUT), _FANOUT)
+    b = np.tile(np.arange(_FANOUT), _FANOUT)
+    ci = ((I * _FANOUT)[:, None] + a).ravel()
+    cj = ((J * _FANOUT)[:, None] + b).ravel()
+    keep = (ci <= cj) & (cj < blocks)
+    return ci[keep], cj[keep]
 
 
 @dataclass(frozen=True)

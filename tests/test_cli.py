@@ -288,6 +288,37 @@ class TestHolderCommand:
         code, out = run(capsys, ["holder", dom, rng, "--d1", "lp:1", "--d2", "lp:2"])
         assert code == 0
         assert out["alpha"] == pytest.approx(math.log(3.0) / math.log(4.0), abs=0.05)
+        assert out["subsampled"] is True
+        assert out["regression_pairs"] == 200_000
+        assert 0 < out["pairs_scanned"] < len(c) * (len(c) - 1) // 2
+
+    def test_overflowing_constant_reports_its_logarithm(self, tmp_path, capsys):
+        # C = 1 / (1e-200)^2 = 1e400 overflows, but the data is Holder
+        dom = write_curve(tmp_path / "d.json", [0, 1, 2], [[0.0], [1e-200], [1.0]])
+        rng = write_curve(tmp_path / "r.json", [0, 1, 2], [[0.0], [1.0], [2.0]])
+        code, out = run(
+            capsys, ["holder", dom, rng, "--d1", "lp:1", "--d2", "lp:1", "--alpha", "2"]
+        )
+        assert code == 0
+        assert list(out) == ["holder", "C", "alpha", "residual", "witness", "log_C",
+                             "pairs_scanned", "regression_pairs", "subsampled"]
+        assert out["holder"] is True
+        assert out["C"] is None
+        assert out["log_C"] == pytest.approx(400.0 * math.log(10.0), rel=1e-12)
+        assert out["witness"] == [0, 1]
+        assert math.isfinite(out["residual"])
+        assert (out["pairs_scanned"], out["regression_pairs"], out["subsampled"]) == (3, 3, False)
+
+    def test_coincident_domain_pair_is_not_holder(self, tmp_path, capsys):
+        dom = write_curve(tmp_path / "d.json", [0, 1, 2], [[0.0], [1.0], [1.0]])
+        rng = write_curve(tmp_path / "r.json", [0, 1, 2], [[0.0], [2.0], [3.0]])
+        code, out = run(
+            capsys, ["holder", dom, rng, "--d1", "lp:1", "--d2", "lp:1", "--alpha", "1"]
+        )
+        assert code == 0
+        assert out["holder"] is False
+        assert out["C"] is None and out["residual"] is None and out["log_C"] is None
+        assert out["witness"] == [1, 2]
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
     def test_non_positive_or_non_finite_order_exit_code(self, tmp_path, alpha):

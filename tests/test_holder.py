@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -184,6 +185,221 @@ class TestFitHolder:
             fit = fit_holder(xs, slope * xs, L1, L1, alpha=1.0)
             assert fit.C == pytest.approx(slope, rel=1e-9)
             assert fit.residual < 1e-9
+
+
+def _oracle_lp(V, p, beta=1.0, weights=None):
+    """Weighted lp distances over the last axis, written apart from the library.
+
+    The max-factored form, and einsum for the sum of squares (numpy's sum
+    rounds differently), are the library's, so that both round alike and
+    the constants can be compared bit for bit.
+    """
+    A = np.abs(V) if weights is None else np.abs(V) * np.asarray(weights)
+    if p == math.inf:
+        d = A.max(axis=-1)
+    elif p == 1.0:
+        d = A.sum(axis=-1)
+    else:
+        top = A.max(axis=-1)
+        unit = A / np.where(top > 0.0, top, 1.0)[..., None]
+        if p == 2.0:
+            power_sum = np.einsum("...i,...i->...", unit, unit)
+        else:
+            power_sum = np.sum(unit ** p, axis=-1)
+        d = top * power_sum ** (1.0 / p)
+    return d ** beta if beta != 1.0 else d
+
+
+def _oracle_fit(X, Y, alpha, d1, d2):
+    """(C, witness) by a row-major scan of every pair i < j.
+
+    ``d1`` and ``d2`` are (p, beta, weights).  A coincident domain pair
+    with distinct images wins outright; otherwise the first pair of the
+    largest ratio d2 / d1^alpha, which is the lexicographically smallest.
+    """
+    X = np.asarray(X, dtype=float).reshape(len(X), -1)
+    Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
+    ii, jj = np.triu_indices(len(X), k=1)
+    D1 = _oracle_lp(X[ii] - X[jj], *d1)
+    D2 = _oracle_lp(Y[ii] - Y[jj], *d2)
+    bad = np.flatnonzero((D1 == 0.0) & (D2 > 0.0))
+    if bad.size:
+        return math.inf, (int(ii[bad[0]]), int(jj[bad[0]]))
+    usable = D1 > 0.0
+    if not usable.any():
+        return 0.0, (0, 1)
+    with np.errstate(all="ignore"):
+        scale = np.where(usable, D1, 1.0) ** alpha
+        ratio = D2 / scale
+        low = usable & (scale < np.finfo(float).tiny)
+        ratio[low] = np.exp(np.log(D2[low]) - alpha * np.log(D1[low]))
+    ratio[~usable] = -np.inf
+    k = int(np.argmax(ratio))
+    return float(ratio[k]), (int(ii[k]), int(jj[k]))
+
+
+def _metric_of(p, beta=1.0, weights=None):
+    m = norm_metric(NormSpec(p, weights))
+    return snowflake(m, beta) if beta != 1.0 else m
+
+
+def _random_oracle_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for k in range(24):
+        m = int(rng.choice([2, 16, 17, 257, 300, 600]))
+        n1, n2 = (int(v) for v in rng.integers(1, 4, 2))
+        if k % 2:  # a curve: index blocks are compact, so most block pairs are pruned
+            t = np.sort(rng.uniform(0.0, 1.0, m))
+            X = np.column_stack([t] + [np.sin((j + 2) * t) for j in range(n1 - 1)])
+            Y = np.cumsum(rng.normal(0.0, 0.05, (m, n2)), axis=0)
+        else:  # scattered: index blocks are spread out, so few are pruned
+            X = rng.normal(size=(m, n1))
+            Y = np.sin(X @ rng.normal(size=(n1, n2)))
+        d1 = (float(rng.choice([1.0, 1.5, 2.0, math.inf])), float(rng.choice([1.0, 0.5])),
+              tuple(rng.uniform(0.5, 2.0, n1)) if k % 3 == 0 else None)
+        d2 = (float(rng.choice([1.0, 1.5, 2.0, math.inf])), float(rng.choice([1.0, 0.6])), None)
+        alpha = float(rng.choice([0.3, 0.5, 0.8, 1.0, 2.0]))
+        cases.append(pytest.param(X, Y, alpha, d1, d2, id=f"rand{k}-m{m}"))
+    return cases
+
+
+def _special_oracle_cases():
+    cases = []
+    t = np.linspace(0.0, 1.0, 600)
+    X = np.column_stack([np.cos(6.0 * t), np.sin(6.0 * t)])
+    Y = np.column_stack([t, t * t])
+    dup = X.copy()
+    dup[[100, 101, 450]] = dup[[99, 99, 20]]  # repeats with equal images below
+    dup_images = Y.copy()
+    dup_images[[100, 101, 450]] = dup_images[[99, 99, 20]]
+    cases.append(pytest.param(dup, dup_images, 0.5, (2.0, 1.0, None), (1.0, 1.0, None),
+                              id="duplicates"))
+    far = X.copy()
+    far[[595, 201]] = far[[190, 200]]  # distinct images; (200, 201) is met first
+    cases.append(pytest.param(far, Y, 1.0, (2.0, 1.0, None), (2.0, 1.0, None),
+                              id="coincident-far-apart"))
+    # scattered: most block pairs have infinite bounds, so the smaller pair
+    # (5, 600) is scanned in a later batch than (100, 101)
+    rng = np.random.default_rng(3)
+    scattered = rng.normal(size=(800, 2))
+    scattered[[101, 600]] = scattered[[100, 5]]
+    cases.append(pytest.param(scattered, rng.normal(size=(800, 1)), 0.5, (2.0, 1.0, None),
+                              (1.0, 1.0, None), id="coincident-scattered"))
+    const = X.copy()
+    const[1] = const[0]  # (0, 1) is coincident, so the first usable pair is (0, 2)
+    cases.append(pytest.param(const, np.ones((600, 1)), 1.0, (2.0, 1.0, None),
+                              (1.0, 1.0, None), id="constant-map"))
+    for seed in range(4):
+        # opposite spikes: the largest ratio sits between blocks at a moderate
+        # lag, where only a correct lower bound on d1 keeps its block pair
+        rng = np.random.default_rng(seed)
+        spikes = np.zeros(600)
+        spikes[rng.integers(0, 600, 12)] = rng.uniform(-1.0, 1.0, 12)
+        cases.append(pytest.param(np.arange(600.0), spikes, float(rng.choice([0.1, 0.3])),
+                                  (1.0, 1.0, None), (1.0, 1.0, None), id=f"spikes{seed}"))
+    for level in (4, 5):
+        c = koch_generator(level)
+        for p2 in (1.0, 2.0, math.inf):
+            for alpha in (KOCH_DIM ** -1, 0.8, 1.0):
+                cases.append(pytest.param(c.params, c.points, alpha, (1.0, 1.0, None),
+                                          (p2, 1.0, None),
+                                          id=f"koch{level}-l{p2:g}-a{alpha:.3f}"))
+    return cases
+
+
+class TestFitHolderBranchAndBound:
+    """The block branch-and-bound against a scan of every pair."""
+
+    @pytest.mark.parametrize("X, Y, alpha, d1, d2",
+                             _random_oracle_cases() + _special_oracle_cases())
+    def test_constant_and_witness_match_the_all_pairs_oracle(self, X, Y, alpha, d1, d2):
+        fit = fit_holder(X, Y, _metric_of(*d1), _metric_of(*d2), alpha=alpha)
+        C, witness = _oracle_fit(X, Y, alpha, d1, d2)
+        assert fit.C == C  # bit for bit
+        assert fit.witness == witness
+        assert fit.is_holder == (C < math.inf)
+        assert fit.pairs_scanned <= len(X) * (len(X) - 1) // 2
+
+    def test_block_pair_closer_than_its_anchors_is_kept(self):
+        # Opposite spikes at 94 and 114 give the largest ratio 2 / 20^0.1, from
+        # leaf blocks whose anchors lie 32 apart.  A decoy pair (300, 301) of
+        # ratio 1.46 is met first, above 2 / 24^0.1, so the pair survives only
+        # if the lower bound on d1 subtracts both blocks' full radii.
+        y = np.zeros(4096)
+        y[[94, 114, 300, 301]] = [-1.0, 1.0, 0.73, -0.73]
+        fit = fit_holder(np.arange(4096.0), y, L1, L1, alpha=0.1)
+        assert fit.witness == (94, 114)
+        assert fit.C == pytest.approx(2.0 / 20.0 ** 0.1, rel=1e-12)
+
+    def test_koch_ties_are_exact(self):
+        # self-similarity gives several pairs of exactly the largest ratio;
+        # the witness must still be the smallest of them
+        c = koch_generator(4)
+        ii, jj = np.triu_indices(len(c), k=1)
+        ratio = _oracle_lp(c.points[ii] - c.points[jj], 2.0) / (c.params[jj] - c.params[ii]) ** 0.8
+        assert np.count_nonzero(ratio == ratio.max()) == 17
+        fit = fit_holder(c.params, c.points, L1, L2, alpha=0.8)
+        assert fit.witness == (90, 91)
+
+    @pytest.mark.parametrize("p2, C_hex, alpha_hex, witness", [
+        (1.0, "0x1.628b4cf9eafcep+0", "0x1.896263a9b6732p-1", (8184, 13312)),
+        (2.0, "0x1.0c224fbe0bae5p+0", "0x1.98319a01195b9p-1", (11814, 11815)),
+    ])
+    def test_koch_level_7_fit(self, p2, C_hex, alpha_hex, witness):
+        # 134M pairs: an all-pairs scan takes over 10 s here
+        c = koch_generator(7)
+        started = time.perf_counter()
+        fit = fit_holder(c.params[:, None], c.points, L1, _metric_of(p2))
+        elapsed = time.perf_counter() - started
+        assert fit.alpha == float.fromhex(alpha_hex)
+        assert fit.C == float.fromhex(C_hex)
+        assert fit.witness == witness
+        assert fit.subsampled and fit.regression_pairs == 200_000
+        assert fit.pairs_scanned < len(c) * (len(c) - 1) // 20
+        assert elapsed < 5.0
+
+    @pytest.mark.parametrize("count, d2, alpha, residual_hex", [
+        (513, L2, None, "0x1.4a0473b1693acp+2"),
+        (513, snowflake(L2, 0.5), 0.3, "0x1.f541d083a1a56p+0"),
+        (300, L1, 0.5, "0x1.875c11f38aaafp+1"),
+    ])
+    def test_residual_over_all_pairs_is_pinned(self, count, d2, alpha, residual_hex):
+        # up to 632 samples the regression pairs are all pairs; these bits are
+        # the all-pairs residual of the row-block scan this fit replaced
+        rng = np.random.default_rng(7)
+        t = np.sort(rng.uniform(size=513))[:count]
+        walk = np.cumsum(rng.normal(size=(513, 2)), axis=0)[:count]
+        fit = fit_holder(t, walk, L1, d2, alpha=alpha)
+        assert not fit.subsampled
+        assert fit.regression_pairs == count * (count - 1) // 2
+        assert fit.residual == float.fromhex(residual_hex)
+
+    def test_overflowing_constant_keeps_the_holder_verdict(self):
+        # the tight constant is 1 / (1e-200)^2 = 1e400, beyond the float range
+        fit = fit_holder([0.0, 1e-200, 1.0], [0.0, 1.0, 2.0], L1, L1, alpha=2.0)
+        assert fit.is_holder
+        assert fit.C == math.inf
+        assert fit.log_C == pytest.approx(400.0 * math.log(10.0), rel=1e-12)
+        assert fit.witness == (0, 1)
+        assert math.isfinite(fit.residual)
+
+    def test_overflowing_distances_are_left_out(self):
+        # d1(0, 2) and d2(0, 2) overflow to inf; the other pairs have ratio 1
+        pts = [-1e308, 0.0, 1e308]
+        with np.errstate(over="ignore"):
+            fit = fit_holder(pts, pts, L1, L1, alpha=1.0)
+        assert (fit.C, fit.witness) == (1.0, (0, 1))
+        assert fit.regression_pairs == 2
+        assert fit.residual == 0.0
+
+    def test_log_constant_of_finite_and_degenerate_fits(self):
+        xs = np.linspace(0.0, 1.0, 50)
+        fit = fit_holder(xs, 3.0 * xs, L1, L1, alpha=1.0)
+        assert fit.log_C == math.log(fit.C)
+        assert fit_holder(xs, np.ones(50), L1, L1, alpha=1.0).log_C == -math.inf
+        bad = fit_holder([0.0, 1.0, 1.0], [0.0, 2.0, 3.0], L1, L1, alpha=1.0)
+        assert bad.log_C == math.inf and not bad.is_holder
 
 
 class TestOrderAboveOneCollapse:
