@@ -259,7 +259,6 @@ def cmd_geodesic(args) -> int:
         "lower_bound": res.lower_bound,
         "gap": res.gap,
         "iterations": res.iterations,
-        "seed": args.seed,  # echoed; the solver is deterministic
         "path": curve_to_dict(res.path),
     })
     return EXIT_OK
@@ -372,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9,
                    help="largest relative optimality gap (k - bound) / bound to certify")
     p.add_argument("--max-iters", type=int, default=10_000, dest="max_iters")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_geodesic)
 
     p = sub.add_parser("reparam", help="unit-speed reparameterization of a curve with derivs")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import Metric, _dist_raw
-from .norms import DimensionMismatch
+from .norms import DimensionMismatch, _finite_result
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +74,13 @@ def _check_dim(c: Polyline, m: Metric) -> None:
 def length(c: Polyline, m: Metric) -> float:
     """Partition-sum length: the sum of distances between adjacent samples.
 
-    A single-point curve has length 0 (empty sum).
+    A single-point curve has length 0 (empty sum).  A length beyond the
+    float range raises ``ValueError``.
     """
     _check_dim(c, m)
     if len(c) < 2:
         return 0.0
-    return float(np.sum(_steps(m, c.points)))
+    return _finite_result(float(np.sum(_steps(m, c.points))), "length")
 
 
 def lipschitz_estimate(c: Polyline, m: Metric) -> float:
@@ -90,12 +91,14 @@ def lipschitz_estimate(c: Polyline, m: Metric) -> float:
     samples are scanned, and that loses nothing: by the triangle
     inequality, d(p_j, p_k) <= sum of d(p_i, p_{i+1}) over j <= i < k
     <= (max adjacent ratio) * (t_k - t_j), so no longer secant can beat
-    the largest adjacent ratio (up to rounding in the distances).
+    the largest adjacent ratio (up to rounding in the distances).  An
+    estimate beyond the float range raises ``ValueError``.
     """
     _check_dim(c, m)
     if len(c) < 2:
         raise ValueError("lipschitz_estimate needs at least 2 samples")
-    return float((_steps(m, c.points) / np.diff(c.params)).max())
+    ratio = float((_steps(m, c.points) / np.diff(c.params)).max())
+    return _finite_result(ratio, "Lipschitz estimate")
 
 
 # Rows per _dist_raw call in _steps: small enough that every temporary is
@@ -104,11 +107,16 @@ _STEP_CHUNK = 1 << 13
 
 
 def _steps(m: Metric, P: np.ndarray) -> np.ndarray:
-    """The distances d(P[i + 1], P[i]), computed a chunk of rows at a time."""
+    """The distances d(P[i + 1], P[i]), computed a chunk of rows at a time.
+
+    A step whose difference overflows comes back inf or nan without a
+    warning; callers check their results instead.
+    """
     out = np.empty(len(P) - 1)
-    for a in range(0, len(out), _STEP_CHUNK):
-        b = min(a + _STEP_CHUNK, len(out))
-        out[a:b] = _dist_raw(m, P[a + 1 : b + 1], P[a:b])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, len(out), _STEP_CHUNK):
+            b = min(a + _STEP_CHUNK, len(out))
+            out[a:b] = _dist_raw(m, P[a + 1 : b + 1], P[a:b])
     return out
 
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Polyline, _check_dim
+from .curves import Polyline, _check_dim, _steps
 from .metrics import Metric, _dist_raw
-from .norms import DimensionMismatch, NormSpec, _norm_raw
+from .norms import DimensionMismatch, NormSpec, _finite_result, _norm_raw
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,9 @@ _BATCH = 256
 # of any distance, so rounding can never prune the pair that attains C.
 _SLACK = 1e-9
 _TINY = np.finfo(float).tiny
+# Above this many pairs the order regression and the residual use a seeded
+# subsample of this size (200 000 pairs: 632 samples).
+_MAX_REGRESSION_PAIRS = 200_000
 
 
 def fit_holder(
@@ -117,7 +120,6 @@ def fit_holder(
     d2: Metric,
     alpha: float | None = None,
     *,
-    max_regression_pairs: int = 200_000,
     seed: int = 0,
 ) -> HolderFit:
     """Fit d2(f(x), f(y)) <= C * d1(x, y)^alpha to sampled points.
@@ -126,14 +128,18 @@ def fit_holder(
     pairs (the tight constant, with the attaining pair as witness).  With
     ``alpha`` None, the order is estimated first as the least-squares
     slope of log d2 against log d1, then C is tightened at that order.
+    A fitted order that is not a positive finite real, or regression
+    pairs that all have the same d1, raise ``ValueError``; pass ``alpha``
+    to fix the order instead.
 
-    The regression pairs are every pair up to ``max_regression_pairs``
-    and a seeded uniform subsample beyond that; the residual is taken
-    over the same pairs.  Pairs with d1 or d2 zero or beyond the float
-    range are left out of both.  C is exact all the same: a branch-and-bound over index blocks
-    bounds the ratio of every pair of blocks by the triangle inequality,
-    which holds for every ``Metric``, and scans exactly only the block
-    pairs whose bound reaches the best ratio found.
+    The regression pairs are all pairs where there are at most 200 000
+    (632 samples), else a seeded uniform subsample of 200 000; the
+    residual is taken over the same pairs.  Pairs with d1 or d2 zero or
+    beyond the float range are left out of both.  C is exact all the
+    same: a branch-and-bound over index blocks bounds the ratio of every
+    pair of blocks by the triangle inequality, which holds for every
+    ``Metric``, and scans exactly only the block pairs whose bound
+    reaches the best ratio found.
 
     If a pair of coincident domain points has distinct images, the data
     is not Holder of any order and the fit reports C = inf with that pair
@@ -151,11 +157,17 @@ def fit_holder(
         if not 0.0 < alpha < math.inf:
             raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
 
-    log_d1, log_d2, subsampled = _regression_logs(X, Y, d1, d2, max_regression_pairs, seed)
+    log_d1, log_d2, subsampled = _regression_logs(X, Y, d1, d2, seed)
     if alpha is None:
         if len(log_d1) < 2:
             raise ValueError("not enough distinct pairs to fit an order")
+        if np.all(log_d1 == log_d1[0]):
+            raise ValueError("cannot fit an order: every regression pair has the same "
+                             "domain distance; pass alpha= to fix the order")
         alpha = float(np.polyfit(log_d1, log_d2, 1)[0])
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"fitted order {alpha!r} is not a positive finite real; "
+                             "pass alpha= to fix the order")
 
     scan = _MaxRatioScan(X, Y, d1, d2, alpha)
     scan.run()
@@ -181,31 +193,30 @@ def _regression_logs(
     Y: np.ndarray,
     d1: Metric,
     d2: Metric,
-    max_pairs: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """log d1 and log d2 over the regression pairs where both are finite,
     and whether those pairs are a subsample."""
     count = len(X)
     total = count * (count - 1) // 2
-    if total <= max_pairs:
+    if total <= _MAX_REGRESSION_PAIRS:
         ii, jj = np.triu_indices(count, k=1)
     else:
         rng = np.random.default_rng(seed)
         ii = np.empty(0, dtype=int)
         jj = np.empty(0, dtype=int)
-        while len(ii) < max_pairs:
-            a = rng.integers(0, count, max_pairs)
-            b = rng.integers(0, count, max_pairs)
+        while len(ii) < _MAX_REGRESSION_PAIRS:
+            a = rng.integers(0, count, _MAX_REGRESSION_PAIRS)
+            b = rng.integers(0, count, _MAX_REGRESSION_PAIRS)
             keep = a != b
             ii = np.concatenate([ii, np.minimum(a[keep], b[keep])])
             jj = np.concatenate([jj, np.maximum(a[keep], b[keep])])
-        ii = ii[:max_pairs]
-        jj = jj[:max_pairs]
+        ii = ii[:_MAX_REGRESSION_PAIRS]
+        jj = jj[:_MAX_REGRESSION_PAIRS]
     D1 = _dist_raw(d1, X[ii], X[jj])
     D2 = _dist_raw(d2, Y[ii], Y[jj])
     ok = (0.0 < D1) & (D1 < math.inf) & (0.0 < D2) & (D2 < math.inf)
-    return np.log(D1[ok]), np.log(D2[ok]), total > max_pairs
+    return np.log(D1[ok]), np.log(D2[ok]), total > _MAX_REGRESSION_PAIRS
 
 
 class _MaxRatioScan:
@@ -357,11 +368,19 @@ def _child_pairs(I: np.ndarray, J: np.ndarray, blocks: int) -> tuple[np.ndarray,
 class OrderCollapseReport:
     """Outcome of the order-above-1 collapse check.
 
-    ``precondition_ok`` records whether the samples actually satisfy the
-    claimed (C, alpha) bound pairwise; a violated bound is reported here
-    rather than raised.  ``collapses`` is the verdict: the maximal range
-    spread fits under C * h^(alpha - 1) * L, the chained bound that drives
-    the spread to zero as the mesh h shrinks.
+    ``precondition_ok`` records whether the samples satisfy the claimed
+    (C, alpha) bound; a violated bound is reported here rather than
+    raised.  For alpha >= 1 the tight constant over all pairs is the
+    largest adjacent ratio, so only adjacent samples (in sorted domain
+    order) are checked, and ``worst_precondition_margin`` is the largest
+    margin (d2 - C h^alpha) / max(1, C h^alpha) over adjacent pairs, at
+    most the largest over all pairs.  A margin up to the tolerance still
+    passes, so a long pair can exceed C * dx^alpha by at most the sum of
+    the slacks tol * max(1, C h^alpha) of the adjacent pairs it spans.
+    ``collapses`` is the verdict: the range diameter
+    ``max_range_spread`` fits under ``collapse_bound`` =
+    C * h^(alpha - 1) * L, the chained bound that drives the spread to
+    zero as the mesh h shrinks.
     """
 
     precondition_ok: bool
@@ -382,11 +401,19 @@ def check_order_gt1_constant(
 ) -> OrderCollapseReport:
     """Check that (C, alpha > 1)-Holder samples on an interval collapse.
 
-    ``domain_pts`` are reals; they are sorted internally (range points
-    follow).  Chaining the bound through consecutive samples gives
-    max pairwise d2 <= C * (max gap)^(alpha - 1) * (interval length),
-    which tends to 0 with the mesh, the discrete shadow of 'order above 1
-    forces a constant map'.
+    ``domain_pts`` are finite reals; they are sorted internally (range
+    points follow).  The precondition is checked on adjacent samples
+    only, and that loses nothing: for alpha >= 1,
+    sum h_i^alpha <= (sum h_i)^alpha, so with the triangle inequality
+    d2(y_j, y_k) <= sum of the steps d2(y_i, y_{i+1}), j <= i < k,
+    <= K * sum h_i^alpha <= K * (x_k - x_j)^alpha, where K is the largest
+    adjacent ratio step / h_i^alpha.  The tight constant over all pairs
+    is therefore the largest adjacent ratio.  Chaining the bound through
+    consecutive samples also gives max pairwise d2 <= C * (max gap)^(alpha
+    - 1) * (interval length), which tends to 0 with the mesh, the
+    discrete shadow of 'order above 1 forces a constant map'.  The range
+    diameter is exact, from the covering-sum diameter kernel, and memory
+    stays O(m).
     """
     if not 1.0 < alpha < math.inf:
         raise ValueError("this check requires a finite alpha > 1")
@@ -395,24 +422,27 @@ def check_order_gt1_constant(
     x = np.asarray(domain_pts, dtype=float)
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("domain_pts must be a 1-d list of at least 2 reals")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("domain_pts must be finite")
     Y = _as_points(range_pts)
     if len(Y) != len(x):
         raise DimensionMismatch(f"got {len(x)} domain and {len(Y)} range points")
     order = np.argsort(x, kind="stable")
     x = x[order]
     Y = Y[order]
+    span = _finite_result(float(x[-1]) - float(x[0]), "domain span")
 
-    ii, jj = np.triu_indices(len(x), k=1)
-    dx = x[jj] - x[ii]
-    D2 = _dist_raw(d2, Y[ii], Y[jj])
-    margins = (D2 - C * dx ** alpha) / np.maximum(1.0, C * dx ** alpha)
+    h = np.diff(x)
+    cap = C * h ** alpha
+    margins = (_steps(d2, Y) - cap) / np.maximum(1.0, cap)
     worst = float(margins.max())
     precondition_ok = worst <= tol
 
-    h = float(np.max(np.diff(x)))
-    span = float(x[-1] - x[0])
-    bound = C * h ** (alpha - 1.0) * span
-    spread = float(D2.max())
+    bound = C * float(h.max()) ** (alpha - 1.0) * span
+    P = np.ascontiguousarray(Y.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        diam = _block_diameters(P, np.zeros(1, dtype=np.intp), np.full(1, len(Y)), d2.norm)
+    spread = _finite_result(float(diam[0]) ** d2.beta, "range diameter")
     collapses = spread <= bound + tol * max(1.0, bound)
     return OrderCollapseReport(precondition_ok, collapses, spread, bound, worst)
 
@@ -434,7 +464,8 @@ def hausdorff_covering_sum(
     linear functionals f, so a block's diameter is the largest
     max - min of some f over the block.  Under any other norm the
     distance is convex in each argument, so the diameter is attained
-    at a pair of the block's convex hull vertices.
+    at a pair of the block's convex hull vertices.  A sum beyond the
+    float range raises ``ValueError``.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
@@ -453,8 +484,10 @@ def hausdorff_covering_sum(
         edges = np.linspace(a, b, s + 1)
         lo = np.searchsorted(t, edges[:-1] - eps, side="left")
         hi = np.searchsorted(t, edges[1:] + eps, side="right")
-        diam = _block_diameters(P, lo, hi, m.norm)
-        out.append((s, float(np.sum(diam ** (m.beta * alpha)))))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+            diam = _block_diameters(P, lo, hi, m.norm)
+            total = float(np.sum(diam ** (m.beta * alpha)))
+        out.append((s, _finite_result(total, "covering sum")))
     return out
 
 

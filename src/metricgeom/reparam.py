@@ -15,6 +15,11 @@ from .curves import Polyline
 from .norms import NormSpec, eval_norm
 
 
+# Adjacent secant speeds of the unit-speed output must lie within this
+# relative distance of 1.
+_SECANT_TOL = 1e-3
+
+
 class SpeedFloorError(ValueError):
     """A derivative sample fell below the required speed floor."""
 
@@ -60,18 +65,15 @@ def unit_speed_reparam(
     c: SampledC1Curve,
     spec: NormSpec,
     speed_floor: float = 1e-9,
-    *,
-    check_tol: float | None = 1e-3,
 ) -> Polyline:
     """Reparameterize to unit speed: same points, parameters phi(t_j).
 
     Requires every sampled speed N(p'(t_j)) to be at least ``speed_floor``
     (the numerical proxy for a nowhere-vanishing derivative); a nan or
     negative floor would switch that check off and is rejected.  The output
-    lives on [0, phi(b)].  Unless ``check_tol`` is None, adjacent secant
-    speeds of the output are verified to lie in [1 - check_tol,
-    1 + check_tol]; a failure means the sampling is too coarse for the
-    quadrature to represent the curve.
+    lives on [0, phi(b)].  Adjacent secant speeds of the output are
+    verified to lie in [1 - 1e-3, 1 + 1e-3]; a failure means the sampling
+    is too coarse for the quadrature to represent the curve.
     """
     if len(c.base) < 2:
         raise ValueError("unit_speed_reparam needs at least 2 samples")
@@ -85,15 +87,14 @@ def unit_speed_reparam(
         )
     phi = arclength_profile(c, spec)
     out = Polyline(phi, c.base.points)
-    if check_tol is not None:
-        chords = eval_norm(spec, out.points[1:] - out.points[:-1])
-        secants = chords / np.diff(phi)
-        if secants.max() > 1.0 + check_tol or secants.min() < 1.0 - check_tol:
-            raise ValueError(
-                "unit-speed output fails the secant check "
-                f"(range [{secants.min():g}, {secants.max():g}]); "
-                "the sampling is too coarse for this curve"
-            )
+    chords = eval_norm(spec, out.points[1:] - out.points[:-1])
+    secants = chords / np.diff(phi)
+    if secants.max() > 1.0 + _SECANT_TOL or secants.min() < 1.0 - _SECANT_TOL:
+        raise ValueError(
+            "unit-speed output fails the secant check "
+            f"(range [{secants.min():g}, {secants.max():g}]); "
+            "the sampling is too coarse for this curve"
+        )
     return out
 
 

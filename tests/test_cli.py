@@ -104,6 +104,13 @@ class TestLengthCommand:
         code = main(["length", str(f), "--metric", "lp:1"])
         assert code == EXIT_PARSE
 
+    def test_overflowing_length_exit_code(self, tmp_path, capsys):
+        f = write_curve(tmp_path / "c.json", [0, 1], [[-1e308, 0], [1e308, 0]])
+        assert main(["length", f, "--metric", "lp:2"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows the float range" in captured.err
+
     def test_malformed_json(self, tmp_path, capsys):
         f = tmp_path / "c.json"
         f.write_text("{nope")
@@ -166,6 +173,12 @@ class TestGeodesicCommand:
         assert code == EXIT_NUMERIC
         assert "tolerance" in capsys.readouterr().err
 
+    def test_report_fields(self, capsys):
+        code, out = run(capsys, ["geodesic", "--start", "0,0", "--end", "1,1",
+                                 "--metric", "lp:2", "--segments", "4"])
+        assert code == 0
+        assert list(out) == ["converged", "k", "lower_bound", "gap", "iterations", "path"]
+
     def test_dimension_mismatch_exit_code(self, capsys):
         code = main(["geodesic", "--start", "0,0", "--end", "1,1,1", "--metric", "lp:2"])
         assert code == EXIT_DIMENSION
@@ -189,7 +202,7 @@ class TestGeodesicCommand:
 
     def test_output_bytes_stable(self, capsys):
         argv = ["geodesic", "--start", "0,0", "--end", "1,1", "--metric", "lp:3",
-                "--segments", "8", "--seed", "7"]
+                "--segments", "8"]
         main(argv)
         first = capsys.readouterr().out
         main(argv)
@@ -327,6 +340,17 @@ class TestHolderCommand:
         argv = ["holder", dom, dom, "--d1", "lp:1", "--d2", "lp:1", "--alpha", alpha]
         assert main(argv) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("xs, ys, cause", [
+        ([0, 1, 2], [0, 1, 0], "same domain distance"),
+        ([0, 1, 3], [0, 5, 5.5], "not a positive finite real"),
+    ])
+    def test_unfittable_order_exit_code(self, tmp_path, capsys, xs, ys, cause):
+        dom = write_curve(tmp_path / "d.json", xs, [[v] for v in xs])
+        rng = write_curve(tmp_path / "r.json", xs, [[v] for v in ys])
+        assert main(["holder", dom, rng, "--d1", "lp:1", "--d2", "lp:1"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert cause in err and "alpha=" in err
+
     def test_count_mismatch_exit_code(self, tmp_path):
         dom = write_curve(tmp_path / "d.json", [0, 1], [[0], [1]])
         rng = write_curve(tmp_path / "r.json", [0, 1, 2], [[0], [1], [2]])
@@ -383,6 +407,11 @@ class TestCoveringCommand:
     def test_infinite_order_exit_code(self, tmp_path):
         f = write_curve(tmp_path / "c.json", [0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
         argv = ["covering", f, "--metric", "lp:2", "--alpha", "inf", "--scales", "4"]
+        assert main(argv) == EXIT_NUMERIC
+
+    def test_overflowing_sum_exit_code(self, tmp_path):
+        f = write_curve(tmp_path / "c.json", [0, 1], [[-1e308, 0], [1e308, 0]])
+        argv = ["covering", f, "--metric", "lp:2", "--alpha", "1", "--scales", "1"]
         assert main(argv) == EXIT_NUMERIC
 
     @pytest.mark.parametrize("scales", ["0", "4,-3"])

@@ -102,6 +102,12 @@ class TestLength:
     def test_single_point(self):
         assert length(Polyline([0.0], [[3.0, 4.0]]), L2) == 0.0
 
+    def test_overflowing_length_raises(self):
+        # each coordinate is finite, their difference is not
+        c = Polyline([0.0, 1.0], [[-1e308, 0.0], [1e308, 0.0]])
+        with pytest.raises(ValueError, match="overflows the float range"):
+            length(c, L2)
+
     def test_refinement_leaves_affine_length_unchanged(self):
         # inserting the geodesic midpoint of a segment preserves the sum
         c = Polyline([0.0, 1.0], [[0.0, 0.0], [2.0, 4.0]])
@@ -169,6 +175,11 @@ class TestLipschitzEstimate:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             lipschitz_estimate(Polyline([0.0], [[0.0]]), L2)
+
+    def test_overflowing_estimate_raises(self):
+        c = Polyline([0.0, 1.0], [[-1e308, 0.0], [1e308, 0.0]])
+        with pytest.raises(ValueError, match="overflows the float range"):
+            lipschitz_estimate(c, L2)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, INF])

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,16 @@ class TestFitHolder:
         with np.errstate(all="raise"):
             fit = fit_holder([0.0, 1e-200, 1.0], [0.0, 0.0, 1.0], L1, L1, alpha=2.0)
         assert fit.C == 1.0
+
+    def test_equal_domain_distances_cannot_fit_an_order(self):
+        # every regression pair has d1 = 1: pair (0, 2) has equal images
+        with pytest.raises(ValueError, match="same domain distance.*alpha="):
+            fit_holder([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], L1, L1)
+
+    def test_negative_fitted_order_is_rejected(self):
+        # the regression slope is about -0.28
+        with pytest.raises(ValueError, match="not a positive finite real.*alpha="):
+            fit_holder([0.0, 1.0, 3.0], [0.0, 5.0, 5.5], L1, L1)
 
     @pytest.mark.parametrize("slope", [3.0, 1e6, 1e-6])
     def test_exactly_linear_data_has_no_residual(self, slope):
@@ -402,6 +413,67 @@ class TestFitHolderBranchAndBound:
         assert bad.log_C == math.inf and not bad.is_holder
 
 
+def _oracle_collapse(x, Y, alpha, C, d2, tol=1e-9):
+    """The collapse check over every pair i < j of the sorted samples.
+
+    ``d2`` is (p, beta, weights).  Besides the verdicts, the spread and the
+    bound, it returns the largest margin over all pairs and over adjacent
+    ones, and the largest excess d2 - C dx^alpha over the sum of the
+    slacks tol * max(1, C h^alpha) of the adjacent pairs a pair spans,
+    less a rounding allowance of 1e-12 relative.
+    """
+    order = np.argsort(x, kind="stable")
+    x = np.asarray(x, dtype=float)[order]
+    Y = np.asarray(Y, dtype=float).reshape(len(x), -1)[order]
+    ii, jj = np.triu_indices(len(x), k=1)
+    dx = x[jj] - x[ii]
+    D2 = _oracle_lp(Y[ii] - Y[jj], *d2)
+    cap = C * dx ** alpha
+    margins = (D2 - cap) / np.maximum(1.0, cap)
+    h = np.diff(x)
+    slack = np.concatenate([[0.0], np.cumsum(tol * np.maximum(1.0, C * h ** alpha))])
+    bound = C * float(h.max()) ** (alpha - 1.0) * float(x[-1] - x[0])
+    spread = float(D2.max())
+    return {
+        "precondition_ok": bool(margins.max() <= tol),
+        "collapses": spread <= bound + tol * max(1.0, bound),
+        "max_range_spread": spread,
+        "collapse_bound": bound,
+        "worst": float(margins.max()),
+        "worst_adjacent": float(margins[jj == ii + 1].max()),
+        "excess": float(np.max(D2 - cap - (slack[jj] - slack[ii]) - 1e-12 * (D2 + cap))),
+    }
+
+
+def _collapse_case(k: int):
+    """Seeded inputs for the collapse check, shuffled, some with repeated
+    domain points; a third have random ranges, the rest are chained from
+    steps of u * C h^alpha with u in [0, 1), one step per fifth case at 1.5."""
+    rng = np.random.default_rng(k)
+    m = int(rng.choice([2, 3, 17, 60, 200]))
+    dim = int(rng.integers(1, 4))
+    d2 = (float(rng.choice([1.0, 1.5, 2.0, math.inf])), float(rng.choice([1.0, 0.7, 0.5])),
+          tuple(rng.uniform(0.5, 2.0, dim)) if k % 3 == 0 else None)
+    alpha = float(rng.choice([1.1, 1.5, 2.0, 3.0]))
+    C = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
+    x = np.sort(rng.uniform(-1.0, 2.0, m))
+    if k % 4 == 0:
+        x[rng.integers(0, m, m // 3 + 1)] = x[m // 2]
+        x.sort()
+    if k % 3 == 0:
+        Y = rng.normal(size=(m, dim)) * float(rng.choice([1.0, 1e-3, 0.0]))
+    else:
+        u = rng.uniform(0.0, 1.0, m - 1)
+        if k % 5 == 1:
+            u[rng.integers(0, m - 1)] = 1.5
+        v = rng.normal(size=(m - 1, dim))
+        size = (u * C * np.diff(x) ** alpha) ** (1.0 / d2[1])
+        steps = v / _oracle_lp(v, d2[0], 1.0, d2[2])[:, None] * size[:, None]
+        Y = np.vstack([np.zeros((1, dim)), np.cumsum(steps, axis=0)])
+    perm = rng.permutation(m)
+    return x[perm], Y[perm], alpha, C, d2
+
+
 class TestOrderAboveOneCollapse:
     def test_constant_range_collapses(self):
         xs = np.linspace(0.0, 1.0, 50)
@@ -427,6 +499,66 @@ class TestOrderAboveOneCollapse:
         # chained oracle: n steps of C h^alpha each
         assert rep.collapse_bound == pytest.approx((len(xs) - 1) * 1.0 * h ** 1.5, rel=0.01)
         assert rep.max_range_spread <= 0.032
+
+    def test_adjacent_pass_matches_the_all_pairs_oracle(self):
+        verdicts = set()
+        for k in range(240):
+            x, Y, alpha, C, d2 = _collapse_case(k)
+            rep = check_order_gt1_constant(x, Y, _metric_of(*d2), alpha, C)
+            want = _oracle_collapse(x, Y, alpha, C, d2)
+            assert rep.precondition_ok == want["precondition_ok"], k
+            assert rep.collapses == want["collapses"], k
+            assert rep.collapse_bound == want["collapse_bound"], k
+            assert rep.max_range_spread == pytest.approx(want["max_range_spread"],
+                                                         rel=1e-12, abs=0.0), k
+            assert rep.worst_precondition_margin == want["worst_adjacent"], k
+            assert rep.worst_precondition_margin <= want["worst"], k
+            if rep.precondition_ok:
+                assert want["excess"] <= 0.0, k
+            verdicts.add((rep.precondition_ok, rep.collapses))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    def test_long_pairs_may_exceed_the_bound_by_their_slacks(self):
+        # three coincident domain points, steps of exactly tol: each adjacent
+        # margin is tol, so the check passes, while the long pair's margin is
+        # 2 tol, the sum of the two slacks it spans
+        tol = 2.0 ** -30
+        ys = np.array([[0.0], [tol], [2.0 * tol]])
+        rep = check_order_gt1_constant(np.zeros(3), ys, L1, alpha=2.0, C=1.0, tol=tol)
+        assert rep.precondition_ok
+        assert rep.worst_precondition_margin == tol
+        want = _oracle_collapse(np.zeros(3), ys, 2.0, 1.0, (1.0, 1.0, None), tol)
+        assert want["worst"] == 2.0 * tol
+
+    def test_hundred_thousand_samples_in_linear_memory(self):
+        # the all-pairs check would hold five arrays of 5e9 pairs each
+        m = 100_000
+        x = np.linspace(0.0, 1.0, m)
+        bumps = 0.5 * (1.0 / (m - 1)) ** 1.5 * (np.arange(m) % 2)
+        perm = np.random.default_rng(5).permutation(m)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rep = check_order_gt1_constant(x[perm], bumps[perm, None], L1, alpha=1.5, C=1.0)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.precondition_ok and rep.collapses
+        assert rep.max_range_spread == bumps.max()
+        assert elapsed < 1.0
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_domain_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            check_order_gt1_constant([0.0, 0.5, bad], np.zeros((3, 1)), L1, 2.0, 1.0)
+
+    def test_overflowing_span_or_diameter_raises(self):
+        with pytest.raises(ValueError, match="domain span .* overflows the float range"):
+            check_order_gt1_constant([-1e308, 1e308], np.zeros((2, 1)), L1, 2.0, 0.0)
+        with pytest.raises(ValueError, match="range diameter .* overflows the float range"):
+            check_order_gt1_constant([0.0, 1.0], [[-1e308, 0.0], [1e308, 0.0]], L2, 2.0, 1.0)
 
     def test_requires_alpha_above_one(self):
         with pytest.raises(ValueError):
@@ -490,6 +622,11 @@ class TestCoveringSums:
         sums = dict(hausdorff_covering_sum(c, L2, 1.0, [4, 1000]))
         assert sums[4] == pytest.approx(4.0 / 3.0, rel=1e-12)
         assert sums[1000] == 0.0
+
+    def test_overflowing_sum_raises(self):
+        c = Polyline([0.0, 1.0], [[-1e308, 0.0], [1e308, 0.0]])
+        with pytest.raises(ValueError, match="overflows the float range"):
+            hausdorff_covering_sum(c, L2, 1.0, [1])
 
     def test_dimension_mismatch(self):
         m = norm_metric(NormSpec(2, (1.0, 2.0, 3.0)))
