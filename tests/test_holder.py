@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from metricgeom import (
     snowflake,
 )
 from metricgeom.curves import Polyline
-from metricgeom.holder import _L1_FUNCTIONAL_MAX_DIM, _LAG_SCAN_MAX, _block_diameters
+from metricgeom.holder import (
+    _L1_FUNCTIONAL_MAX_DIM,
+    _LAG_SCAN_MAX,
+    _LEAF,
+    _block_diameters,
+    _spatial_order,
+)
 
 L1 = norm_metric(NormSpec(1))
 L2 = norm_metric(NormSpec(2))
@@ -319,11 +326,36 @@ def _special_oracle_cases():
     return cases
 
 
+def _spatial_oracle_cases():
+    rng = np.random.default_rng(17)
+    cases = []
+    for dim, d1, d2, alpha in [(2, (2.0, 1.0, None), (2.0, 0.5, None), 0.5),
+                               (2, (1.0, 0.5, (2.0, 0.5)), (math.inf, 1.0, None), 0.8),
+                               (3, (2.0, 1.0, None), (1.5, 0.6, None), 0.4),
+                               (3, (math.inf, 0.7, None), (2.0, 0.5, None), 1.0)]:
+        X = rng.uniform(-1.0, 1.0, (700, dim)) * rng.uniform(0.1, 10.0, dim)
+        Y = np.column_stack([np.sin(2.0 * X @ rng.normal(size=dim)), np.cos(X[:, 0])])
+        cases.append(pytest.param(X, Y, alpha, d1, d2,
+                                  id=f"scattered{dim}d-l{d1[0]:g}-snow{d2[1]:g}"))
+    # a near-linear map under a snowflaked domain: the ratio N^(1/2) peaks at
+    # the farthest pairs, where the lower bounds must be raised to beta1 * alpha
+    X = rng.uniform(-100.0, 100.0, (700, 2))
+    Y = X @ rng.normal(size=(2, 2)) + rng.normal(0.0, 0.1, (700, 2))
+    cases.append(pytest.param(X, Y, 1.0, (2.0, 0.5, None), (2.0, 1.0, None), id="far-pairs"))
+    t = np.sort(rng.uniform(0.0, 1.0, 600))
+    for k, (p2, beta) in enumerate([(1.0, 1.0), (2.0, 0.5)]):
+        perm = rng.permutation(600)
+        walk = np.cumsum(rng.normal(size=(600, 2)), axis=0)
+        cases.append(pytest.param(t[perm], walk[perm], 0.5, (1.0, 1.0, None), (p2, beta, None),
+                                  id=f"shuffled1d-{k}"))
+    return cases
+
+
 class TestFitHolderBranchAndBound:
     """The block branch-and-bound against a scan of every pair."""
 
-    @pytest.mark.parametrize("X, Y, alpha, d1, d2",
-                             _random_oracle_cases() + _special_oracle_cases())
+    @pytest.mark.parametrize("X, Y, alpha, d1, d2", _random_oracle_cases()
+                             + _special_oracle_cases() + _spatial_oracle_cases())
     def test_constant_and_witness_match_the_all_pairs_oracle(self, X, Y, alpha, d1, d2):
         fit = fit_holder(X, Y, _metric_of(*d1), _metric_of(*d2), alpha=alpha)
         C, witness = _oracle_fit(X, Y, alpha, d1, d2)
@@ -411,6 +443,65 @@ class TestFitHolderBranchAndBound:
         assert fit_holder(xs, np.ones(50), L1, L1, alpha=1.0).log_C == -math.inf
         bad = fit_holder([0.0, 1.0, 1.0], [0.0, 2.0, 3.0], L1, L1, alpha=1.0)
         assert bad.log_C == math.inf and not bad.is_holder
+
+
+class TestFitHolderSpatialOrder:
+    """The k-d sample order: ties, coincident pairs and pruning."""
+
+    def test_grid_ties_return_the_smallest_original_pair(self):
+        # a shuffled integer grid whose images take three values: hundreds of
+        # pairs tie for the largest ratio, in leaves all over the domain
+        g = np.stack(np.meshgrid(np.arange(24.0), np.arange(24.0)), axis=-1).reshape(-1, 2)
+        perm = np.random.default_rng(4).permutation(len(g))
+        X, Y = g[perm], (g[perm] % 3.0)[:, :1]
+        ii, jj = np.triu_indices(len(X), k=1)
+        ratio = np.abs(Y[ii, 0] - Y[jj, 0]) / np.abs(X[ii] - X[jj]).sum(axis=1)
+        top = np.flatnonzero(ratio == ratio.max())
+        assert len(top) > 100
+        fit = fit_holder(X, Y, L1, L1, alpha=1.0)
+        assert fit.witness == (int(ii[top[0]]), int(jj[top[0]]))
+
+    @pytest.mark.parametrize("images_equal", [False, True])
+    def test_coincident_pairs_in_different_leaves(self, images_equal):
+        # 40 copies of one point fill more than two leaves, so some
+        # coincident pairs are split between leaves
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(500, 2))
+        copies = rng.choice(np.arange(1, 500), 40, replace=False)
+        X[copies] = X[0]
+        Y = rng.normal(size=(500, 1))
+        if images_equal:
+            Y[copies] = Y[0]
+        position = np.argsort(_spatial_order(X))
+        assert len(set(position[np.append(copies, 0)] // _LEAF)) >= 3
+        fit = fit_holder(X, Y, L2, L1, alpha=0.5)
+        C, witness = _oracle_fit(X, Y, 0.5, (2.0, 1.0, None), (1.0, 1.0, None))
+        assert (fit.C, fit.witness) == (C, witness)
+        assert fit.is_holder == images_equal
+
+    def test_scattered_fit_prunes(self):
+        # the scattered fit of the benchmark: index blocks scanned every pair
+        rng = np.random.default_rng(1)
+        X = rng.uniform(0.0, 1.0, (1500, 2))
+        Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2, np.cos(2.0 * X[:, 1])])
+        fit = fit_holder(X, Y, L2, snowflake(L2, 0.5), alpha=0.5)
+        assert fit.pairs_scanned < 0.6 * (1500 * 1499 // 2)
+        assert fit.C == float.fromhex("0x1.ec3b20efafe28p+0")
+        assert fit.witness == (466, 1489)
+
+    def test_sorted_one_dimensional_fits_scan_the_same_pairs(self):
+        # a stable sort is the identity on sorted samples, so these counts are
+        # those of the index blocks before the k-d order
+        c = koch_generator(5)
+        assert fit_holder(c.params, c.points, L1, L1).pairs_scanned == 152992
+        assert fit_holder(c.params, c.points, L1, L2).pairs_scanned == 225168
+        x = np.concatenate([[0.0], np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 1999))])
+        assert fit_holder(x, np.sqrt(x), L1, L1, alpha=0.5).pairs_scanned == 71576
+        perm = np.random.default_rng(1).permutation(2000)
+        shuffled = fit_holder(x[perm], np.sqrt(x[perm]), L1, L1, alpha=0.5)
+        assert shuffled.pairs_scanned == 71576
+        oracle = _oracle_fit(x[perm], np.sqrt(x[perm]), 0.5, (1.0, 1.0, None), (1.0, 1.0, None))
+        assert (shuffled.C, shuffled.witness) == oracle
 
 
 def _oracle_collapse(x, Y, alpha, C, d2, tol=1e-9):
@@ -548,6 +639,28 @@ class TestOrderAboveOneCollapse:
         assert rep.max_range_spread == bumps.max()
         assert elapsed < 1.0
         assert peak < 64 * 2 ** 20
+
+    def test_overflowing_cap_has_margin_minus_one(self):
+        # C h^2 = 1e400 overflows; the step 1 lies far below it, so the
+        # margin is its limit -1, and no warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_order_gt1_constant([0.0, 1e200], [[0.0], [1.0]], L1, alpha=2.0, C=1.0)
+            assert rep.precondition_ok and rep.worst_precondition_margin == -1.0
+            assert rep.collapses and rep.collapse_bound == math.inf
+            rep = check_order_gt1_constant([0.0, 1e200], [[0.0], [1.0]], L1, alpha=3.0, C=1.0)
+            assert rep.precondition_ok and rep.worst_precondition_margin == -1.0
+
+    @pytest.mark.parametrize("alpha, margin, bound", [(2.0, 1e180, 1e20), (3.0, 1e20, 1e180)])
+    def test_small_constant_times_overflowing_power(self, alpha, margin, bound):
+        # h^alpha and h^(alpha - 1) may overflow where C times them does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_order_gt1_constant([0.0, 1e160], [[0.0], [1e200]], L1, alpha, C=1e-300)
+        assert not rep.precondition_ok
+        assert rep.worst_precondition_margin == pytest.approx(margin, rel=1e-12)
+        assert rep.collapse_bound == pytest.approx(bound, rel=1e-12)
+        assert not rep.collapses
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_domain_must_be_finite(self, bad):

@@ -15,6 +15,7 @@ from metricgeom import (
     eval_norm,
     is_strictly_convex,
 )
+from metricgeom.norms import _norm_cols, _norm_raw
 
 INF = math.inf
 
@@ -230,3 +231,35 @@ class TestInequalityProperties:
         lhs = eval_norm(spec, r * np.asarray(x, dtype=float))
         rhs = abs(r) * eval_norm(spec, x)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+
+
+def _cols_cases(dim: int, rng) -> list[np.ndarray]:
+    """Coordinate-major arrays over several batch shapes and magnitudes."""
+    cases = []
+    for batch in [(), (1,), (5,), (3, 4), (2, 16, 16), (9000,)]:
+        for mag in (-300, -150, -10, 0, 10, 150, 300):
+            shape = (dim,) + batch
+            D = rng.normal(size=shape) * 10.0 ** (mag + rng.uniform(-6.0, 6.0, shape))
+            zero = rng.uniform(size=batch) < 0.1
+            D[:, zero] = 0.0  # whole zero vectors
+            D[rng.uniform(size=D.shape) < 0.2] = 0.0  # and zero coordinates
+            cases.append(D)
+    return cases
+
+
+class TestNormCols:
+    """The coordinate-major kernel against _norm_raw on row-major copies."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_bits_equal_the_row_major_kernel(self, dim, p, weighted):
+        rng = np.random.default_rng(dim * 100 + int(weighted))
+        spec = NormSpec(p, tuple(rng.uniform(0.25, 4.0, dim)) if weighted else None)
+        with np.errstate(over="ignore", under="ignore"):
+            for D in _cols_cases(dim, rng):
+                want = _norm_raw(spec, np.ascontiguousarray(np.moveaxis(D, 0, -1)))
+                got = _norm_cols(spec, D)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(want).view(np.uint64))  # bit for bit
