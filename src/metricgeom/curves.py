@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import Metric, _dist_raw
+from .metrics import Metric, _dist
 from .norms import DimensionMismatch, _finite_result
 
 
@@ -101,7 +101,7 @@ def lipschitz_estimate(c: Polyline, m: Metric) -> float:
     return _finite_result(ratio, "Lipschitz estimate")
 
 
-# Rows per _dist_raw call in _steps: small enough that every temporary is
+# Steps per _dist call in _steps: small enough that every temporary is
 # reused from the heap instead of being mapped and page-faulted afresh.
 _STEP_CHUNK = 1 << 13
 
@@ -116,7 +116,7 @@ def _steps(m: Metric, P: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, len(out), _STEP_CHUNK):
             b = min(a + _STEP_CHUNK, len(out))
-            out[a:b] = _dist_raw(m, P[a + 1 : b + 1], P[a:b])
+            out[a:b] = _dist(m, (P[a + 1 : b + 1] - P[a:b]).T)
     return out
 
 

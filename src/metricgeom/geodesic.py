@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Polyline
-from .metrics import Metric, _dist_raw
+from .metrics import Metric, _dist
 from .norms import DimensionMismatch, as_vector
 
 @dataclass(frozen=True, eq=False)
@@ -140,43 +140,46 @@ def solve(prob: GeodesicProblem) -> GeodesicResult:
     m = prob.metric
     segs = prob.segment_count
     grid = np.linspace(0.0, 1.0, segs + 1)
+    # the path is kept coordinate-major: column i is the point p_i
     if prob.initial_path is not None:
-        P = prob.initial_path.points.copy()
-        P[0] = prob.start
-        P[-1] = prob.end
+        P = prob.initial_path.points.T.copy()
+        P[:, 0] = prob.start
+        P[:, -1] = prob.end
     else:
-        P = prob.start[None, :] + grid[:, None] * (prob.end - prob.start)[None, :]
-        P[-1] = prob.end
+        P = prob.start[:, None] + grid[None, :] * (prob.end - prob.start)[:, None]
+        P[:, -1] = prob.end
 
     def path_k(points: np.ndarray) -> float:
-        return float(np.max(_dist_raw(m, points[1:], points[:-1])) * segs)
+        return float(np.max(_dist(m, points[:, 1:] - points[:, :-1])) * segs)
 
     k = path_k(P)
     history = [k]
-    lower_bound = float(segs ** (1.0 - m.beta) * _dist_raw(m, prob.start, prob.end))
+    lower_bound = float(segs ** (1.0 - m.beta) * _dist(m, prob.start - prob.end))
     # Young's optimal over-relaxation factor for the 1-D Laplacian on s segments
     omega = 2.0 / (1.0 + math.sin(math.pi / segs))
-    colours = (np.arange(1, segs, 2), np.arange(2, segs, 2))
+    # per colour: the points' left neighbours, the points, their right neighbours
+    colours = [np.stack([idx - 1, idx, idx + 1]) for idx in
+               (np.arange(1, segs, 2), np.arange(2, segs, 2))]
     iterations = 0
 
     while _relative_gap(k, lower_bound) > prob.tolerance and iterations < prob.max_iters:
         iterations += 1
         moved = False
-        for idx in colours:
-            a = P[idx - 1][:, None, :]
-            b = P[idx + 1][:, None, :]
-            cur = P[idx][:, None, :]
+        for near in colours:
+            Q = P[:, near]  # (dim, 3, points): a, c, b
+            a, cur, b = Q[:, :1], Q[:, 1:2], Q[:, 2:]
             mid = 0.5 * (a + b)
             # candidates: the incumbent, the over-relaxed point, the midpoint
             cands = np.concatenate([cur, cur + omega * (mid - cur), mid], axis=1)
-            vals = np.maximum(_dist_raw(m, cands, a), _dist_raw(m, cands, b))
-            beats = vals[:, 1:] < vals[:, :1]
+            # max(d(c, a), d(c, b)) of every candidate c, in one call
+            vals = _dist(m, cands[:, None] - Q[:, ::2, None]).max(axis=0)
+            beats = vals[1:] < vals[:1]
             # the over-relaxed point when it beats the incumbent, else the midpoint
-            j = np.where(beats[:, 0], 1, np.where(beats[:, 1], 2, 0))
+            j = np.where(beats[0], 1, np.where(beats[1], 2, 0))
             better = j > 0
             if better.any():
                 moved = True
-                P[idx[better]] = cands[better, j[better]]
+                P[:, near[1, better]] = cands[:, j[better], better]
         k = path_k(P)
         history.append(k)
         if not moved:
@@ -184,7 +187,7 @@ def solve(prob: GeodesicProblem) -> GeodesicResult:
 
     gap = _relative_gap(k, lower_bound)
     return GeodesicResult(
-        path=Polyline(grid, P),
+        path=Polyline(grid, P.T),
         k=k,
         lower_bound=lower_bound,
         gap=gap,
@@ -209,8 +212,8 @@ def straightness_check(path: Polyline, m: Metric, tol: float) -> bool:
     x = path.points[0]
     y = path.points[-1]
     interior = path.points[1:-1]
-    total = _dist_raw(m, interior, x) + _dist_raw(m, interior, y)
-    return bool(np.all(total <= float(_dist_raw(m, x, y)) + tol))
+    total = _dist(m, (interior - x).T) + _dist(m, (interior - y).T)
+    return bool(np.all(total <= float(_dist(m, x - y)) + tol))
 
 
 def linfty_geodesic_family(phi_samples) -> Polyline:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _STEP_CHUNK, Polyline, _check_dim, _steps
-from .metrics import Metric
-from .norms import DimensionMismatch, NormSpec, _finite_result, _norm_cols, _norm_raw
+from .metrics import Metric, _dist
+from .norms import DimensionMismatch, NormSpec, _finite_result, _norm
 
 
 @dataclass(frozen=True)
@@ -206,24 +206,26 @@ def _regression_logs(
     if total <= _MAX_REGRESSION_PAIRS:
         ii, jj = np.triu_indices(count, k=1)
     else:
+        # rounds of draws, coincident pairs dropped; each round is cut to the
+        # pairs still needed, so a second round adds only the few it replaces
         rng = np.random.default_rng(seed)
-        ii = np.empty(0, dtype=int)
-        jj = np.empty(0, dtype=int)
-        while len(ii) < _MAX_REGRESSION_PAIRS:
+        firsts, seconds, need = [], [], _MAX_REGRESSION_PAIRS
+        while need:
             a = rng.integers(0, count, _MAX_REGRESSION_PAIRS)
             b = rng.integers(0, count, _MAX_REGRESSION_PAIRS)
             keep = a != b
-            ii = np.concatenate([ii, np.minimum(a[keep], b[keep])])
-            jj = np.concatenate([jj, np.maximum(a[keep], b[keep])])
-        ii = ii[:_MAX_REGRESSION_PAIRS]
-        jj = jj[:_MAX_REGRESSION_PAIRS]
+            firsts.append(a[keep][:need])
+            seconds.append(b[keep][:need])
+            need -= len(firsts[-1])
+        a, b = np.concatenate(firsts), np.concatenate(seconds)
+        ii, jj = np.minimum(a, b), np.maximum(a, b)
     XT = np.ascontiguousarray(X.T)
     YT = np.ascontiguousarray(Y.T)
     logs1, logs2 = [], []
     for a in range(0, len(ii), _STEP_CHUNK):  # chunks keep every temporary in cache
         i, j = ii[a : a + _STEP_CHUNK], jj[a : a + _STEP_CHUNK]
-        D1 = _dist_cols(d1, _diffs(XT, i, j))
-        D2 = _dist_cols(d2, _diffs(YT, i, j))
+        D1 = _dist(d1, _diffs(XT, i, j))
+        D2 = _dist(d2, _diffs(YT, i, j))
         ok = (0.0 < D1) & (D1 < math.inf) & (0.0 < D2) & (D2 < math.inf)
         logs1.append(np.log(D1[ok]))
         logs2.append(np.log(D2[ok]))
@@ -238,12 +240,6 @@ def _diffs(PT: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     times slower.
     """
     return PT.take(i, axis=1) - PT.take(j, axis=1)
-
-
-def _dist_cols(d: Metric, D: np.ndarray) -> np.ndarray:
-    """d over axis 0 of coordinate-major differences, as ``_dist_raw`` rounds it."""
-    out = _norm_cols(d.norm, D)
-    return out ** d.beta if d.beta != 1.0 else out
 
 
 class _MaxRatioScan:
@@ -330,9 +326,9 @@ class _MaxRatioScan:
     def _bounds(self, level: int, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         AX, R1, AY, R2 = self.levels[level]
         with np.errstate(all="ignore"):
-            upper = _norm_cols(self.d2.norm, _diffs(AY, I, J)) + R2[I] + R2[J]
+            upper = _norm(self.d2.norm, _diffs(AY, I, J)) + R2[I] + R2[J]
             upper = upper ** self.d2.beta * (1.0 + _SLACK)
-            gap = _norm_cols(self.d1.norm, _diffs(AX, I, J))
+            gap = _norm(self.d1.norm, _diffs(AX, I, J))
             reach = R1[I] + R1[J]
             lower = np.maximum(gap - reach - _SLACK * (gap + reach), 0.0)
             lower = lower ** (self.d1.beta * self.alpha)
@@ -341,8 +337,8 @@ class _MaxRatioScan:
     def _scan_leaves(self, I: np.ndarray, J: np.ndarray) -> None:
         XI, XJ = self.XL.take(I, axis=1), self.XL.take(J, axis=1)
         YI, YJ = self.YL.take(I, axis=1), self.YL.take(J, axis=1)
-        D1 = _dist_cols(self.d1, XI[..., :, None] - XJ[..., None, :])
-        D2 = _dist_cols(self.d2, YI[..., :, None] - YJ[..., None, :])
+        D1 = _dist(self.d1, XI[..., :, None] - XJ[..., None, :])
+        D2 = _dist(self.d2, YI[..., :, None] - YJ[..., None, :])
         offset = np.arange(_LEAF)
         rows = (I * _LEAF)[:, None, None] + offset[None, :, None]
         cols = (J * _LEAF)[:, None, None] + offset[None, None, :]
@@ -425,7 +421,7 @@ def _block_anchors(PT: np.ndarray, norm: NormSpec, size: int) -> tuple[np.ndarra
     starts = np.arange(0, count, size)
     anchors = np.minimum(starts + size // 2, count - 1)
     owner = np.repeat(anchors, np.diff(np.append(starts, count)))
-    radii = np.maximum.reduceat(_norm_cols(norm, PT - PT.take(owner, axis=1)), starts)
+    radii = np.maximum.reduceat(_norm(norm, PT - PT.take(owner, axis=1)), starts)
     return PT.take(anchors, axis=1), radii
 
 
@@ -524,7 +520,7 @@ def check_order_gt1_constant(
     P = np.ascontiguousarray(Y.T)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         diam = _block_diameters(P, np.zeros(1, dtype=np.intp), np.full(1, len(Y)), d2.norm)
-    spread = _finite_result(float(diam[0]) ** d2.beta, "range diameter")
+    spread = _finite_result(float((diam ** d2.beta)[0]), "range diameter")
     collapses = spread <= bound + tol * max(1.0, bound)
     return OrderCollapseReport(precondition_ok, collapses, spread, bound, worst)
 
@@ -603,11 +599,11 @@ def _block_diameters(
 ) -> np.ndarray:
     """Diameters under ``norm`` of the blocks P[:, lo[k]:hi[k]], all at once.
 
-    ``P`` holds the samples as columns of a C-contiguous (dim, m) array,
-    so a norm over the coordinates runs as a few whole-row vector
-    operations (about four times faster than over rows of a (m, dim)
-    array).  Blocks may share samples.  A block with fewer than 2
-    samples has diameter 0.
+    ``P`` holds the samples as columns of a C-contiguous (dim, m) array.
+    The pair scans hand their differences to ``norms._norm`` in that
+    layout, with no transposed copy, so every norm runs as a few
+    whole-row vector operations.  Blocks may share samples.  A block
+    with fewer than 2 samples has diameter 0.
     """
     diam = np.zeros(len(lo))
     count = hi - lo
@@ -675,7 +671,7 @@ def _lag_scan(Q: np.ndarray, count: np.ndarray, norm: NormSpec) -> np.ndarray:
         active = int(np.count_nonzero(count > lag))
         first = starts[:active]
         stop = first + count[:active] - lag  # pairs start in [first, stop)
-        d = _norm_raw(norm, (Q[:, lag : stop[-1] + lag] - Q[:, : stop[-1]]).T)
+        d = _norm(norm, Q[:, lag : stop[-1] + lag] - Q[:, : stop[-1]])
         # even slots reduce one block's pairs; odd slots span the gaps and
         # are dropped (the last block runs to the end of d)
         bounds = np.column_stack([first, stop]).ravel()[:-1]

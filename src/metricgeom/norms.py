@@ -76,44 +76,18 @@ class NormSpec:
         return None if self.weights is None else len(self.weights)
 
 
-def _norm_raw(spec: NormSpec, v: np.ndarray) -> np.ndarray:
-    """Norm over the last axis, no input validation (hot path)."""
-    a = np.abs(v)
-    if spec.weights is not None:
-        a = a * np.asarray(spec.weights)
-    p = spec.p
-    if p == math.inf:
-        return a.max(axis=-1)
-    if p == 1.0:
-        return a.sum(axis=-1)
-    # max-factored form keeps |x_j|^p inside [0, 1]: large p cannot overflow
-    # and tiny coordinates cannot underflow (squares do below ~1e-154)
-    m = a.max(axis=-1, keepdims=True)
-    safe = np.where(m > 0.0, m, 1.0)
-    scaled = a / safe
-    if p == 2.0:
-        s = np.einsum("...i,...i->...", scaled, scaled)
-    else:
-        s = (scaled ** p).sum(axis=-1)
-    return m[..., 0] * s ** (1.0 / p)
+def _norm(spec: NormSpec, D: np.ndarray) -> np.ndarray:
+    """Norm over axis 0 of a coordinate-major (dim, ...) array; the one
+    norm kernel of the library (hot path, no input validation).
 
-
-# From this many coordinates on, numpy sums a row pairwise in eight lanes;
-# below it, sum() adds the coordinates in order and einsum() adds the even
-# and the odd ones apart (numpy 2.4), which _norm_cols repeats row by row.
-_COLS_MAX_DIM = 8
-
-
-def _norm_cols(spec: NormSpec, D: np.ndarray) -> np.ndarray:
-    """Norm over axis 0 of a coordinate-major (dim, ...) array.
-
-    Equals ``_norm_raw`` on the row-major copy bit for bit, and is faster
-    on batches of few coordinates: each step is a whole-row vector
-    operation instead of a short reduction per point.
+    Each step is a whole-row vector operation over the batch.  The rows
+    are added in a fixed order: in order for p = 1 and every p outside
+    {1, 2, inf}; for p = 2 the even squares, then the odd ones, then both.
+    Row-major callers pass a transposed view: ``_norm(spec, v.T).T``.
     """
+    if D.ndim == 1:  # a batch of one: numpy's power of a scalar may round apart
+        return _norm(spec, D[:, None]).reshape(())
     dim = D.shape[0]
-    if D.ndim == 1 or dim >= _COLS_MAX_DIM:  # one point is its own row-major copy
-        return _norm_raw(spec, np.ascontiguousarray(np.moveaxis(D, 0, -1)))
     a = np.abs(D)
     if spec.weights is not None:
         a *= np.asarray(spec.weights).reshape((dim,) + (1,) * (D.ndim - 1))
@@ -122,6 +96,8 @@ def _norm_cols(spec: NormSpec, D: np.ndarray) -> np.ndarray:
         return a.max(axis=0)
     if p == 1.0:
         return _sum_rows(a, range(dim))
+    # max-factored form keeps |x_j|^p inside [0, 1]: large p cannot overflow
+    # and tiny coordinates cannot underflow (squares do below ~1e-154)
     m = a.max(axis=0)
     a /= np.where(m > 0.0, m, 1.0)
     if p == 2.0:
@@ -162,7 +138,7 @@ def eval_norm(spec: NormSpec, x) -> float | np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("point has non-finite coordinates")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        out = _norm_raw(spec, v)
+        out = _norm(spec, v.T).T
     return _finite_result(out, "norm")
 
 
@@ -213,19 +189,19 @@ def check_norm_axioms(
     R = rng.uniform(-10.0, 10.0, sample_count)
     X[0] = 0.0  # pin one exact zero vector so N(0) = 0 is exercised
 
-    nx = _norm_raw(spec, X)
-    ny = _norm_raw(spec, Y)
+    nx = _norm(spec, X.T)
+    ny = _norm(spec, Y.T)
     nonzero = np.any(X != 0.0, axis=1)
 
     pos_viol = int(np.count_nonzero((nonzero & (nx <= 0.0)) | (~nonzero & (nx != 0.0))))
     pos_worst = float(np.max(np.where(nonzero, -nx, np.abs(nx))))
     positivity = CheckReport("positivity", sample_count, pos_viol, pos_worst, tol)
 
-    hom = np.abs(_norm_raw(spec, R[:, None] * X) - np.abs(R) * nx)
+    hom = np.abs(_norm(spec, (R[:, None] * X).T) - np.abs(R) * nx)
     hom_margin = hom / np.maximum(1.0, np.abs(R) * nx)
     homogeneity = margin_report("homogeneity", hom_margin, tol)
 
-    sub = _norm_raw(spec, X + Y) - (nx + ny)
+    sub = _norm(spec, (X + Y).T) - (nx + ny)
     sub_margin = sub / np.maximum(1.0, nx + ny)
     subadditivity = margin_report("subadditivity", sub_margin, tol)
 
@@ -253,7 +229,7 @@ def check_unit_ball_convexity(
     Y = _unit_ball_points(spec, rng, sample_count, n)
     T = rng.uniform(0.0, 1.0, sample_count)
     mixed = T[:, None] * X + (1.0 - T)[:, None] * Y
-    margin = _norm_raw(spec, mixed) - 1.0
+    margin = _norm(spec, mixed.T) - 1.0
     return AxiomReport((margin_report("unit_ball_convexity", margin, tol),))
 
 
@@ -278,7 +254,7 @@ def _unit_ball_points(
     spec: NormSpec, rng: np.random.Generator, count: int, dim: int
 ) -> np.ndarray:
     Z = rng.standard_normal((count, dim))
-    nz = _norm_raw(spec, Z)
+    nz = _norm(spec, Z.T)
     nz = np.where(nz > 0.0, nz, 1.0)
     u = rng.uniform(0.0, 1.0, count)
     return Z * (u / nz)[:, None]

@@ -70,10 +70,12 @@ def unit_speed_reparam(
 
     Requires every sampled speed N(p'(t_j)) to be at least ``speed_floor``
     (the numerical proxy for a nowhere-vanishing derivative); a nan or
-    negative floor would switch that check off and is rejected.  The output
-    lives on [0, phi(b)].  Adjacent secant speeds of the output are
-    verified to lie in [1 - 1e-3, 1 + 1e-3]; a failure means the sampling
-    is too coarse for the quadrature to represent the curve.
+    negative floor would switch that check off and is rejected.  A speed
+    of exactly 0 raises ``SpeedFloorError`` whatever the floor: such a
+    sample has no unit tangent.  The output lives on [0, phi(b)].
+    Adjacent secant speeds of the output are verified to lie in
+    [1 - 1e-3, 1 + 1e-3]; a failure means the sampling is too coarse for
+    the quadrature to represent the curve.
     """
     if len(c.base) < 2:
         raise ValueError("unit_speed_reparam needs at least 2 samples")
@@ -81,6 +83,8 @@ def unit_speed_reparam(
         raise ValueError(f"speed_floor must be nonnegative, got {speed_floor:g}")
     speeds = np.asarray(eval_norm(spec, c.derivs), dtype=float)
     worst = float(speeds.min())
+    if worst == 0.0:
+        raise SpeedFloorError("a sampled speed is 0, where the curve has no unit tangent")
     if worst < speed_floor:
         raise SpeedFloorError(
             f"minimum sampled speed {worst:g} is below the floor {speed_floor:g}"

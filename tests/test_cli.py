@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,23 @@ class TestReparamCommand:
         err = capsys.readouterr().err
         assert "speed_floor must be nonnegative" in err
         assert "too coarse" not in err
+
+    def test_zero_speed_with_zero_floor_exit_code(self, tmp_path, capsys):
+        # a zero floor admits every positive speed, never a zero one: that
+        # sample has no unit tangent, and its derivative would print as null
+        t = np.linspace(0.0, 1.0, 20)
+        f = write_curve(
+            tmp_path / "c.json", t,
+            np.column_stack([t * t / 2.0, np.zeros_like(t)]),
+            np.column_stack([t, np.zeros_like(t)]),  # speed vanishes at t = 0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["reparam", f, "--metric", "lp:2", "--speed-floor", "0"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert captured.out == ""
+        assert "speed is 0" in captured.err
 
     def test_snowflake_metric_rejected(self, tmp_path):
         t = np.linspace(0.0, 1.0, 5)

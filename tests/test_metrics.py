@@ -10,9 +10,14 @@ from metricgeom import (
     DimensionMismatch,
     Metric,
     NormSpec,
+    Polyline,
     ball_containment_check,
     check_metric_axioms,
     distance,
+    eval_norm,
+    fit_holder,
+    hausdorff_covering_sum,
+    length,
     norm_metric,
     snowflake,
     snowflake_order_transfer,
@@ -199,3 +204,29 @@ class TestSnowflakeMonotonicity:
             assert vals[0] <= vals[1] <= vals[2]
         elif d < 1.0:
             assert vals[0] >= vals[1] >= vals[2]
+
+
+class TestOneKernel:
+    """Every entry point that reports d(x, y) of one pair rounds it alike.
+
+    A caller that evaluates the norm on a path of its own (another
+    reduction order, or the exponent applied elsewhere) fails here.
+    """
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_same_bits_everywhere(self, dim, p, weighted, beta):
+        rng = np.random.default_rng(1000 * dim + 10 * int(weighted) + int(beta == 1.0))
+        spec = NormSpec(p, tuple(rng.uniform(0.25, 4.0, dim)) if weighted else None)
+        m = snowflake(norm_metric(spec), beta)
+        for _ in range(4):
+            x, y = rng.normal(size=(2, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, dim))
+            d = distance(m, x, y)
+            assert length(Polyline([0.0, 1.0], [x, y]), m).hex() == d.hex()
+            assert fit_holder([0.0, 1.0], [x, y], L1, m, alpha=1.0).C.hex() == d.hex()
+            if 1.0 < p < INF:
+                [(_, total)] = hausdorff_covering_sum(Polyline([0.0, 1.0], [x, y]), m,
+                                                      1.0 / beta, [1])
+                assert total.hex() == eval_norm(spec, x - y).hex()  # (N^beta)^(1/beta)

@@ -15,7 +15,7 @@ from metricgeom import (
     eval_norm,
     is_strictly_convex,
 )
-from metricgeom.norms import _norm_cols, _norm_raw
+from metricgeom.norms import _norm
 
 INF = math.inf
 
@@ -247,19 +247,59 @@ def _cols_cases(dim: int, rng) -> list[np.ndarray]:
     return cases
 
 
-class TestNormCols:
-    """The coordinate-major kernel against _norm_raw on row-major copies."""
+def _rows_lp(spec: NormSpec, V: np.ndarray, exact: bool = False) -> np.ndarray:
+    """The weighted lp norm over the last axis, written apart from the library.
+
+    Max-factored as the library is.  Below 8 coordinates numpy 2.4's
+    sum() adds a row in order and einsum() adds the even and the odd
+    squares apart, the order the kernel fixes for every dimension; with
+    ``exact`` every sum is math.fsum's instead.  A single point is taken
+    as a batch of one, as the kernel takes it: numpy's power of a scalar
+    may round apart from its power of an array.
+    """
+    A = np.abs(V) if spec.weights is None else np.abs(V) * np.asarray(spec.weights)
+    A = A.reshape(-1, A.shape[-1])
+
+    def add(T):
+        return np.array([math.fsum(r) for r in T]) if exact else T.sum(axis=-1)
+
+    if spec.p == INF:
+        out = A.max(axis=-1)
+    elif spec.p == 1.0:
+        out = add(A)
+    else:
+        top = A.max(axis=-1)
+        unit = A / np.where(top > 0.0, top, 1.0)[:, None]
+        if spec.p == 2.0 and not exact:
+            power_sum = np.einsum("ij,ij->i", unit, unit)
+        else:
+            power_sum = add(unit * unit if spec.p == 2.0 else unit ** spec.p)
+        out = top * power_sum ** (1.0 / spec.p)
+    return out.reshape(V.shape[:-1])
+
+
+class TestNormOracle:
+    """The coordinate-major kernel against row-major references.
+
+    Below 8 coordinates it equals ``_rows_lp`` bit for bit; from 8 on
+    numpy sums a row pairwise in eight lanes, while the kernel keeps its
+    fixed order, so there it is held to 4 ulp of the exact power sums.
+    """
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
     @pytest.mark.parametrize("dim", range(1, 10))
-    def test_bits_equal_the_row_major_kernel(self, dim, p, weighted):
+    def test_matches_a_row_major_reference(self, dim, p, weighted):
         rng = np.random.default_rng(dim * 100 + int(weighted))
         spec = NormSpec(p, tuple(rng.uniform(0.25, 4.0, dim)) if weighted else None)
         with np.errstate(over="ignore", under="ignore"):
             for D in _cols_cases(dim, rng):
-                want = _norm_raw(spec, np.ascontiguousarray(np.moveaxis(D, 0, -1)))
-                got = _norm_cols(spec, D)
-                assert np.shape(got) == np.shape(want)
-                assert np.array_equal(np.asarray(got).view(np.uint64),
-                                      np.asarray(want).view(np.uint64))  # bit for bit
+                V = np.ascontiguousarray(np.moveaxis(D, 0, -1))
+                got = np.asarray(_norm(spec, D))
+                want = _rows_lp(spec, V, exact=dim >= 8)
+                assert got.shape == want.shape
+                if dim < 8:
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # bit for bit
+                else:
+                    assert np.all((got == 0.0) == (want == 0.0))
+                    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4  # ulp

@@ -117,6 +117,22 @@ class TestUnitSpeedReparam:
         q = unit_speed_reparam(parabola_curve(t), L2SPEC, speed_floor=0.0)
         assert q.params[0] == 0.0
 
+    @pytest.mark.parametrize("floor", [0.0, 1e-9])
+    def test_zero_speed_rejected_whatever_the_floor(self, floor):
+        t = np.linspace(0.0, 1.0, 50)  # parabola speed is exactly 0 at t = 0
+        with pytest.raises(SpeedFloorError, match="speed is 0"):
+            unit_speed_reparam(parabola_curve(t), L2SPEC, speed_floor=floor)
+
+    def test_zero_speed_rejected_in_every_norm(self):
+        t = np.linspace(0.0, 1.0, 50)
+        pts = np.column_stack([t, t * t])
+        derivs = np.column_stack([np.ones_like(t), 2.0 * t])
+        derivs[25] = 0.0  # one interior sample at rest
+        c = SampledC1Curve(Polyline(t, pts), derivs)
+        for p in (1.0, 1.5, 2.0, math.inf):
+            with pytest.raises(SpeedFloorError, match="speed is 0"):
+                unit_speed_reparam(c, NormSpec(p), speed_floor=0.0)
+
     def test_coarse_sampling_fails_secant_check(self):
         t = np.linspace(0.0, math.pi / 2.0, 5)
         pts = np.column_stack([np.cos(t), np.sin(t)])
