@@ -11,7 +11,7 @@ length that BENCHMARK.json declares and for seeds 1, 2 and 3.  With
 `git clone` of the parent commit), the two sides alternating which goes
 first, so both meet the same machine conditions.  The file holds each
 run's metrics and operation counts, the median of every metric per
-workload and side, the Python, numpy and scipy versions, the CPU count
+workload and side, the Python and numpy versions, the CPU count
 and each checkout's git revision.  Expect about 25 s per run.
 """
 
@@ -26,7 +26,6 @@ import subprocess
 import sys
 
 import numpy as np
-import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
@@ -96,7 +95,6 @@ def main() -> int:
         "seeds": list(SEEDS),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
         "sides": {side: {**revision(roots[side]),
                          "medians": {w: medians(rs) for w, rs in runs[side].items()},

@@ -18,6 +18,7 @@ from .holder import (
     LipBound,
     OrderCollapseReport,
     check_order_gt1_constant,
+    covering_resolution,
     fit_holder,
     hausdorff_covering_sum,
     koch_generator,
@@ -80,6 +81,7 @@ __all__ = [
     "check_norm_axioms",
     "check_order_gt1_constant",
     "check_unit_ball_convexity",
+    "covering_resolution",
     "distance",
     "eval_norm",
     "fit_holder",

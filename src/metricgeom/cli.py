@@ -16,7 +16,7 @@ import numpy as np
 
 from .curves import Polyline, length, lipschitz_estimate
 from .geodesic import GeodesicProblem, solve
-from .holder import fit_holder, hausdorff_covering_sum
+from .holder import covering_resolution, fit_holder, hausdorff_covering_sum
 from .metrics import Metric, check_metric_axioms, norm_metric, snowflake
 from .norms import (
     DimensionMismatch,
@@ -343,10 +343,15 @@ def cmd_check(args) -> int:
 def cmd_covering(args) -> int:
     curve, _ = load_curve(args.curve)
     metric = parse_metric_spec(args.metric)
-    sums = hausdorff_covering_sum(curve, metric, args.alpha, _parse_scales(args.scales))
+    scales = _parse_scales(args.scales)
+    sums = hausdorff_covering_sum(curve, metric, args.alpha, scales)
+    counts = covering_resolution(curve, scales)
     _emit({
         "alpha": args.alpha,
         "sums": [{"scale": s, "sum": v} for s, v in sums],
+        # per scale, in the order of sums: blocks, and blocks with 2 or more samples
+        "blocks": [blocks for _, blocks, _ in counts],
+        "resolved_blocks": [resolved for _, _, resolved in counts],
     })
     return EXIT_OK
 

@@ -293,6 +293,12 @@ class _MaxRatioScan:
             if size >= count:
                 break
             size *= _FANOUT
+        # the children of block n on level l + 1 are blocks first[n], ...,
+        # first[n] + kids[n] - 1 on level l
+        self.children = []
+        for below in self.levels[:-1]:
+            first = np.arange(0, len(below[1]), _FANOUT)
+            self.children.append((first, np.minimum(_FANOUT, len(below[1]) - first)))
         rows = np.minimum(np.arange(len(self.levels[0][1]) * _LEAF), count - 1)
         self.XL = XT.take(rows, axis=1).reshape(len(XT), -1, _LEAF)
         self.YL = YT.take(rows, axis=1).reshape(len(YT), -1, _LEAF)
@@ -315,7 +321,7 @@ class _MaxRatioScan:
                 self._scan_leaves(I, J)
                 continue
             level -= 1
-            I, J = _child_pairs(I, J, len(self.levels[level][1]))
+            I, J = _child_pairs(I, J, *self.children[level])
             bound = self._bounds(level, I, J)
             order = np.argsort(-bound, kind="stable")
             order = order[: np.count_nonzero(bound >= self.best)]
@@ -425,13 +431,16 @@ def _block_anchors(PT: np.ndarray, norm: NormSpec, size: int) -> tuple[np.ndarra
     return PT.take(anchors, axis=1), radii
 
 
-def _child_pairs(I: np.ndarray, J: np.ndarray, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j), i <= j < blocks, of child blocks of the block pairs (I, J), I <= J."""
+def _child_pairs(
+    I: np.ndarray, J: np.ndarray, first: np.ndarray, kids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i <= j, of children of the block pairs (I, J), I <= J,
+    where block n's children are first[n], ..., first[n] + kids[n] - 1."""
     a = np.repeat(np.arange(_FANOUT), _FANOUT)
     b = np.tile(np.arange(_FANOUT), _FANOUT)
-    ci = ((I * _FANOUT)[:, None] + a).ravel()
-    cj = ((J * _FANOUT)[:, None] + b).ravel()
-    keep = (ci <= cj) & (cj < blocks)
+    ci = (first[I][:, None] + a).ravel()
+    cj = (first[J][:, None] + b).ravel()
+    keep = ((a < kids[I][:, None]) & (b < kids[J][:, None])).ravel() & (ci <= cj)
     return ci[keep], cj[keep]
 
 
@@ -545,34 +554,31 @@ def hausdorff_covering_sum(
     closed blocks (boundary samples belong to both neighbors, mirroring a
     cover by closed subintervals) and the block image diameters under
     ``m`` are raised to ``alpha`` and summed.  Blocks holding fewer than
-    2 samples add 0.  Bounded sums across scales indicate finite
-    alpha-dimensional content of the curve's image.
+    2 samples add 0; ``covering_resolution`` counts, per scale, the
+    blocks that hold at least 2.  Bounded sums across scales indicate
+    finite alpha-dimensional content of the curve's image.
 
     The diameters are exact, not estimates.  Under l1, the max norm, or
     in one dimension the norm is the largest |f(v)| over finitely many
     linear functionals f, so a block's diameter is the largest
-    max - min of some f over the block.  Under any other norm the
-    distance is convex in each argument, so the diameter is attained
-    at a pair of the block's convex hull vertices.  A sum beyond the
-    float range raises ``ValueError``.
+    max - min of some f over the block.  Under any other norm, blocks of
+    up to 48 samples scan all their pairs, and longer ones, all blocks
+    of a scale together, take the largest pair distance by a
+    branch-and-bound over nested runs of samples, which bounds each
+    pair of runs by the triangle inequality and scans exactly only the
+    runs whose bound reaches the block's best distance found.  A sum
+    beyond the float range raises ``ValueError``.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
-    scale_list = [int(s) for s in scales]
-    if not scale_list or any(s < 1 for s in scale_list):
-        raise ValueError("scales must be a nonempty list of positive ints")
+    scale_list = _scale_list(scales)
     _check_dim(c, m)
     if len(c) < 2:
         return [(s, 0.0) for s in scale_list]
-    t = c.params
-    a, b = float(t[0]), float(t[-1])
-    eps = (b - a) * 1e-12
     P = np.ascontiguousarray(c.points.T)
     out: list[tuple[int, float]] = []
     for s in scale_list:
-        edges = np.linspace(a, b, s + 1)
-        lo = np.searchsorted(t, edges[:-1] - eps, side="left")
-        hi = np.searchsorted(t, edges[1:] + eps, side="right")
+        lo, hi = _block_bounds(c.params, s)
         with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
             diam = _block_diameters(P, lo, hi, m.norm)
             total = float(np.sum(diam ** (m.beta * alpha)))
@@ -580,17 +586,53 @@ def hausdorff_covering_sum(
     return out
 
 
-# Blocks of up to this many samples skip the hull: the lag scan over all
-# of them costs less than one Qhull call per block.
+def covering_resolution(c: Polyline, scales) -> list[tuple[int, int, int]]:
+    """(scale, blocks, resolved_blocks) for each scale of a covering sum.
+
+    ``blocks`` is the number of parameter blocks of
+    ``hausdorff_covering_sum`` at that scale, and ``resolved_blocks``
+    the number that hold at least 2 samples; the others add 0 to the
+    sum.  Fewer resolved blocks than blocks means the sampling is
+    coarser than the scale, so the sum there says nothing of the
+    curve: ``koch_generator(1)`` (5 samples) has 4 resolved blocks of 4
+    at scale 4, but 0 of 1000 at scale 1000, where its covering sum is
+    exactly 0.  The counts depend only on the parameters, and cost two
+    binary searches per block.
+    """
+    t = c.params
+    out = []
+    for s in _scale_list(scales):
+        lo, hi = _block_bounds(t, s)
+        out.append((s, s, int(np.count_nonzero(hi - lo >= 2))))
+    return out
+
+
+def _scale_list(scales) -> list[int]:
+    scale_list = [int(s) for s in scales]
+    if not scale_list or any(s < 1 for s in scale_list):
+        raise ValueError("scales must be a nonempty list of positive ints")
+    return scale_list
+
+
+def _block_bounds(t: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and past-the-end sample of each of the s closed uniform
+    parameter blocks of the sorted parameters t."""
+    a, b = float(t[0]), float(t[-1])
+    eps = (b - a) * 1e-12
+    edges = np.linspace(a, b, s + 1)
+    lo = np.searchsorted(t, edges[:-1] - eps, side="left")
+    hi = np.searchsorted(t, edges[1:] + eps, side="right")
+    return lo, hi
+
+
+# Blocks of up to this many samples get a lag scan of all their pairs; it
+# measured faster there than the branch-and-bound of longer blocks.
 _LAG_SCAN_MAX = 48
-# l1 needs 2^(n-1) sign functionals; above this dimension the hull and
-# lag-scan branch is cheaper.
+# l1 needs 2^(n-1) sign functionals; above this dimension the pair
+# searches are cheaper.
 _L1_FUNCTIONAL_MAX_DIM = 8
-# Qhull's cost grows steeply with the dimension; above this one a full
-# pair scan of a long block is cheaper than its hull.
-_HULL_MAX_DIM = 4
-# Blocks are gathered about this many samples at a time: the copies stay
-# small and in cache, which also makes the passes over them faster.
+# Short blocks are gathered about this many samples at a time: the copies
+# stay small and in cache, which also makes the passes over them faster.
 _CHUNK = 1 << 15
 
 
@@ -600,7 +642,8 @@ def _block_diameters(
     """Diameters under ``norm`` of the blocks P[:, lo[k]:hi[k]], all at once.
 
     ``P`` holds the samples as columns of a C-contiguous (dim, m) array.
-    The pair scans hand their differences to ``norms._norm`` in that
+    Callers set ``np.errstate`` for overflow and report a non-finite
+    diameter themselves.  The pair scans hand their differences to ``norms._norm`` in that
     layout, with no transposed copy, so every norm runs as a few
     whole-row vector operations.  Blocks may share samples.  A block
     with fewer than 2 samples has diameter 0.
@@ -608,8 +651,8 @@ def _block_diameters(
     diam = np.zeros(len(lo))
     count = hi - lo
     W = _functionals(norm, P.shape[0])
-    hull = (count > _LAG_SCAN_MAX) & (W is None) & (P.shape[0] <= _HULL_MAX_DIM)
-    rest = np.flatnonzero((count >= 2) & ~hull)
+    long = (count > _LAG_SCAN_MAX) & (W is None)
+    rest = np.flatnonzero((count >= 2) & ~long)
     for part in np.split(rest, np.flatnonzero(np.diff(np.cumsum(count[rest]) // _CHUNK)) + 1):
         if part.size == 0:
             continue
@@ -619,14 +662,109 @@ def _block_diameters(
             part = part[np.argsort(-count[part], kind="stable")]
             Q = P.take(_concat_ranges(lo[part], count[part]), axis=1)
             diam[part] = _lag_scan(Q, count[part], norm)
-    blocks = np.flatnonzero(hull)
+    blocks = np.flatnonzero(long)
     if blocks.size:
-        cand = [a + _hull_candidates(P[:, a:b].T) for a, b in zip(lo[blocks], hi[blocks])]
-        sizes = np.array([len(v) for v in cand])
-        order = np.argsort(-sizes, kind="stable")
-        Q = P.take(np.concatenate([cand[i] for i in order]), axis=1)
-        diam[blocks[order]] = _lag_scan(Q, sizes[order], norm)
+        diam[blocks] = _DiameterScan(P, lo[blocks], count[blocks], norm).run()
     return diam
+
+
+class _DiameterScan:
+    """Branch-and-bound for the largest N(p_i - p_j) inside each of many blocks.
+
+    The blocks' samples are gathered back to back, each block padded to
+    a multiple of ``_LEAF`` samples with repeats of its last sample,
+    which change no diameter.  Inside each block, nodes form levels as
+    in ``_MaxRatioScan``: leaves of ``_LEAF`` samples, and parents of up
+    to ``_FANOUT`` consecutive nodes of the level below, until every
+    block is one node.  A node's anchor a is the middle sample of its
+    range and its radius r bounds N(p - a) over its samples: a leaf's is
+    the largest such norm, a parent's is max N(a_child - a) + r_child
+    over its children, padded by ``_SLACK``, so only the leaves touch
+    the samples.  For i in node I and j in node J of one block,
+
+        N(p_i - p_j) <= N(a_I - a_J) + r_I + r_J,
+
+    padded by ``_SLACK``.  The anchors are samples, so every
+    N(a_I - a_J) is a real pair distance of the block and raises its
+    best value.  Node pairs are split depth first, highest bound first,
+    in batches, and dropped once their bound is at most their block's
+    best value: only the value is wanted, not a witness, so a tie cannot
+    change it, and a block of one repeated sample prunes at once.  A nan
+    bound is never dropped, so a pair whose difference overflows is
+    scanned and its nan or inf reaches the result.  Leaf pairs are
+    scanned exactly, with ``norms._norm``, so every finite diameter has
+    the bits of a scan of all its block's pairs.
+    """
+
+    def __init__(self, P: np.ndarray, lo: np.ndarray, count: np.ndarray, norm: NormSpec):
+        self.norm = norm
+        self.best = np.full(len(count), -np.inf)
+        nodes = -(-count // _LEAF)  # per block, on the current level
+        size = nodes * _LEAF
+        G = P.take(np.minimum(_concat_ranges(lo, size), np.repeat(lo + count - 1, size)), axis=1)
+        self.GL = GL = G.reshape(len(G), -1, _LEAF)
+        start = np.arange(0, G.shape[1], _LEAF)  # each node's sample range in G
+        stop = start + _LEAF
+        block = np.repeat(np.arange(len(count)), nodes)
+        A = np.ascontiguousarray(GL[:, :, _LEAF // 2])
+        R = _norm(norm, GL - A[:, :, None]).max(axis=1)
+        # per level: anchors, radii, block of each node, and its children
+        self.levels = [(A, R, block, None)]
+        while nodes.max() > 1:
+            parents = -(-nodes // _FANOUT)
+            k = _concat_ranges(np.zeros_like(parents), parents)  # parent k of its block
+            first = np.repeat(np.cumsum(nodes) - nodes, parents) + k * _FANOUT
+            kids = np.minimum(_FANOUT, np.repeat(nodes, parents) - k * _FANOUT)
+            start, stop = start[first], stop[first + kids - 1]
+            AP = G.take((start + stop) // 2, axis=1)
+            parent = np.repeat(np.arange(len(first)), kids)
+            reach = _norm(norm, A - AP.take(parent, axis=1)) + R
+            R = np.maximum.reduceat(reach, first) * (1.0 + _SLACK)
+            A, block, nodes = AP, block[first], parents
+            self.levels.append((A, R, block, (first, kids)))
+
+    def run(self) -> np.ndarray:
+        """The diameter of every block."""
+        level = len(self.levels) - 1
+        roots = np.arange(len(self.best))  # on the top level, node k is block k's
+        stack = [(level, roots, roots, np.full(len(roots), math.inf))]
+        while stack:
+            level, I, J, bound = stack.pop()
+            _, _, block, children = self.levels[level]
+            keep = self._live(bound, block[I])
+            if not keep.any():
+                continue
+            I, J = I[keep], J[keep]
+            if level == 0:
+                self._scan_leaves(I, J, block[I])
+                continue
+            I, J = _child_pairs(I, J, *children)
+            level -= 1
+            A, R, block, _ = self.levels[level]
+            owner = block[I]
+            gap = _norm(self.norm, _diffs(A, I, J))
+            np.maximum.at(self.best, owner, gap)
+            bound = (gap + R[I] + R[J]) * (1.0 + _SLACK)
+            live = np.flatnonzero(self._live(bound, owner))
+            order = live[np.argsort(-bound[live], kind="stable")]
+            for s in range((len(order) - 1) // _BATCH * _BATCH, -1, -_BATCH):
+                part = order[s : s + _BATCH]
+                stack.append((level, I[part], J[part], bound[part]))
+        return self.best
+
+    def _live(self, bound: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Node pairs that may raise their block's best value.
+
+        A nan bound is kept; a block whose best value is nan or inf is
+        done, as its diameter is no longer finite.
+        """
+        best = self.best[owner]
+        return ~(bound <= best) & ~np.isnan(best)
+
+    def _scan_leaves(self, I: np.ndarray, J: np.ndarray, owner: np.ndarray) -> None:
+        XI, XJ = self.GL.take(I, axis=1), self.GL.take(J, axis=1)
+        D = _norm(self.norm, XI[..., :, None] - XJ[..., None, :])
+        np.maximum.at(self.best, owner, D.reshape(len(I), -1).max(axis=1))
 
 
 def _functionals(norm: NormSpec, dim: int) -> np.ndarray | None:
@@ -683,17 +821,6 @@ def _concat_ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The indices lo[k], ..., lo[k] + count[k] - 1 of every block, back to back."""
     starts = np.cumsum(count) - count
     return np.arange(int(starts[-1] + count[-1])) + np.repeat(lo - starts, count)
-
-
-def _hull_candidates(B: np.ndarray) -> np.ndarray:
-    """Indices into B of its convex hull's vertices, or of every point if
-    the block is flat or too small for Qhull."""
-    from scipy.spatial import ConvexHull, QhullError  # slow to import: load on first use
-
-    try:
-        return ConvexHull(B - B[0]).vertices  # centred: Qhull's roundoff scales with |B|
-    except QhullError:
-        return np.arange(len(B))
 
 
 def koch_generator(level: int) -> Polyline:

@@ -17,6 +17,7 @@ from metricgeom.cli import (
     main,
     parse_metric_spec,
 )
+from metricgeom.holder import koch_generator
 
 
 def write_curve(path, params, points, derivs=None):
@@ -432,6 +433,18 @@ class TestCoveringCommand:
         argv = ["covering", f, "--metric", "lp:2", "--alpha", "1", "--scales", "1"]
         assert main(argv) == EXIT_NUMERIC
 
+    def test_blocks_and_resolved_blocks_per_scale(self, tmp_path, capsys):
+        # Koch level 1: 5 samples, so no block of width 1/1000 holds 2 of them
+        c = koch_generator(1)
+        f = write_curve(tmp_path / "k1.json", c.params, c.points)
+        code, out = run(capsys, ["covering", f, "--metric", "lp:2", "--alpha", "1",
+                                 "--scales", "4,1000"])
+        assert code == 0
+        assert [e["scale"] for e in out["sums"]] == [4, 1000]
+        assert out["sums"][1]["sum"] == 0.0
+        assert out["blocks"] == [4, 1000]
+        assert out["resolved_blocks"] == [4, 0]
+
     @pytest.mark.parametrize("scales", ["0", "4,-3"])
     def test_nonpositive_scale_is_a_parse_error(self, tmp_path, scales):
         f = write_curve(tmp_path / "c.json", [0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
@@ -477,6 +490,25 @@ class TestSerialization:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_long_covering_blocks_leave_scipy_unloaded(self, tmp_path):
+        # blocks of 200 and 100 samples, past the lag-scan cut-off, take the
+        # branch-and-bound; nothing on the way imports scipy
+        import metricgeom
+
+        t = np.linspace(0.0, 1.0, 200)
+        f = write_curve(tmp_path / "arc.json", t,
+                        np.column_stack([np.cos(np.pi * t), np.sin(np.pi * t)]))
+        src = os.path.dirname(os.path.dirname(metricgeom.__file__))
+        argv = ["covering", f, "--metric", "lp:2", "--alpha", "1", "--scales", "1,2"]
+        code = (f"import sys; sys.path.insert(0, {src!r}); from metricgeom.cli import main; "
+                f"code = main({argv!r}); "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert json.loads(lines[0])["sums"][0]["sum"] == 2.0
+        assert lines[-1] == "0 []"
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

@@ -11,6 +11,7 @@ from metricgeom import (
     LipBound,
     NormSpec,
     check_order_gt1_constant,
+    covering_resolution,
     fit_holder,
     hausdorff_covering_sum,
     koch_generator,
@@ -27,7 +28,9 @@ from metricgeom.holder import (
     _L1_FUNCTIONAL_MAX_DIM,
     _LAG_SCAN_MAX,
     _LEAF,
+    _DiameterScan,
     _block_diameters,
+    _lag_scan,
     _spatial_order,
 )
 
@@ -640,6 +643,35 @@ class TestOrderAboveOneCollapse:
         assert elapsed < 1.0
         assert peak < 64 * 2 ** 20
 
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_hundred_thousand_sample_arc_under_a_second(self, p):
+        # every sample of a convex arc is a hull vertex: a scan of all hull
+        # vertex pairs took 89 s here, the branch-and-bound far under 1 s
+        m = 100_000
+        x = np.linspace(0.0, 1.0, m)
+        arc = np.column_stack([np.cos(np.pi * x), np.sin(np.pi * x)])
+        start = time.perf_counter()
+        rep = check_order_gt1_constant(x, arc, norm_metric(NormSpec(p)), alpha=1.5, C=10.0)
+        elapsed = time.perf_counter() - start
+        assert rep.max_range_spread == _lag_scan(np.ascontiguousarray(arc[[0, -1]].T),
+                                                 np.array([2]), NormSpec(p))[0]
+        assert elapsed < 1.0
+
+    def test_hundred_thousand_repeats_of_one_point_under_a_second(self):
+        # every block pair ties the best value 0, and a tie cannot raise it
+        m = 100_000
+        start = time.perf_counter()
+        rep = check_order_gt1_constant(np.linspace(0.0, 1.0, m), np.tile([0.3, 0.7], (m, 1)),
+                                       L2, alpha=1.5, C=1.0)
+        assert time.perf_counter() - start < 1.0
+        assert rep.max_range_spread == 0.0 and rep.collapses
+
+    def test_overflow_inside_a_long_range_raises(self):
+        # the pair (x3, x8) overflows, so leaf 0's radius is nan: a nan bound
+        # must never prune, or the diameter would come out as 1.7e308
+        with pytest.raises(ValueError, match="range diameter .* overflows the float range"):
+            check_order_gt1_constant(np.arange(100.0), _overflow_block(), L2, 2.0, 1.0)
+
     def test_overflowing_cap_has_margin_minus_one(self):
         # C h^2 = 1e400 overflows; the step 1 lies far below it, so the
         # margin is its limit -1, and no warning is raised
@@ -741,10 +773,53 @@ class TestCoveringSums:
         with pytest.raises(ValueError, match="overflows the float range"):
             hausdorff_covering_sum(c, L2, 1.0, [1])
 
+    def test_overflow_inside_a_long_block_raises(self):
+        c = Polyline(np.arange(100.0), _overflow_block())
+        with pytest.raises(ValueError, match="overflows the float range"):
+            hausdorff_covering_sum(c, L2, 1.0, [1])
+
+    def test_resolution_counts_blocks_with_two_samples(self):
+        c = koch_generator(1)  # 5 samples, 1/4 apart: no block of width 1/1000 holds 2
+        assert covering_resolution(c, [1, 4, 1000]) == [(1, 1, 1), (4, 4, 4), (1000, 1000, 0)]
+        assert dict(hausdorff_covering_sum(c, L2, 1.0, [1000])) == {1000: 0.0}
+        assert covering_resolution(Polyline([0.0], [[0.0, 0.0]]), [2]) == [(2, 2, 0)]
+        with pytest.raises(ValueError):
+            covering_resolution(c, [0])
+
+    def test_resolution_matches_the_oracle_blocks(self):
+        c = _oracle_curve(2, np.random.default_rng(0))
+        scales = TestBlockDiameterOracle.SCALES
+        want = [(s, s, sum(len(b) >= 2 for b in _oracle_blocks(c.params, s))) for s in scales]
+        assert covering_resolution(c, scales) == want
+
     def test_dimension_mismatch(self):
         m = norm_metric(NormSpec(2, (1.0, 2.0, 3.0)))
         with pytest.raises(DimensionMismatch):
             hausdorff_covering_sum(koch_generator(2), m, 1.0, [4])
+
+
+def _overflow_block() -> np.ndarray:
+    """100 samples in the plane whose samples 3 and 8 differ beyond the float range."""
+    P = np.zeros((100, 2))
+    P[3] = (1.7e308, 0.0)
+    P[8] = (-1.7e308, 0.0)
+    return P
+
+
+def _engine_points(case: str, dim: int) -> np.ndarray:
+    """1200 samples: a walk, a convex arc (also scaled into the subnormal
+    range), or a walk with long runs of repeats."""
+    rng = np.random.default_rng(dim)
+    if case == "arc":  # every sample is a vertex of the convex hull
+        t = np.linspace(0.0, np.pi, 1200)
+        return np.column_stack([np.cos(t), np.sin(t), np.zeros((1200, dim - 2))])
+    if case == "subnormal arc":  # distances of a few hundred subnormal units
+        return _engine_points("arc", dim) * 1e-321
+    walk = np.cumsum(rng.normal(0.0, 1.0, (1200, dim)), axis=0)
+    if case == "repeats":  # zero radii: whole leaves and nodes of one point
+        walk = np.repeat(walk[:40], rng.multinomial(1160, np.ones(40) / 40) + 1, axis=0)
+        walk[300:700] = walk[300]
+    return walk
 
 
 def _oracle_curve(dim: int, rng) -> Polyline:
@@ -825,6 +900,34 @@ class TestBlockDiameterOracle:
             want = float(np.sum(_oracle_diameters(D, _oracle_blocks(c.params, s))))
             [(_, total)] = hausdorff_covering_sum(c, norm_metric(spec), 1.0, [s])
             assert total == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    # blocks on both sides of the leaf (16 samples) and fanout (256) edges,
+    # past the lag-scan cut-off (49), overlapping, and the whole curve
+    ENGINE_BLOCKS = [(0, 2), (5, 16), (40, 17), (100, 49), (200, 256), (300, 257),
+                     (310, 600), (0, 1200)]
+
+    @pytest.mark.parametrize("case, dim", [("walk", 5), ("arc", 2), ("arc", 3),
+                                           ("repeats", 2), ("subnormal arc", 2)])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_branch_and_bound_equals_the_whole_block_lag_scan(self, case, dim, p, weighted):
+        P = np.ascontiguousarray(_engine_points(case, dim).T)
+        spec = NormSpec(p, tuple(np.linspace(0.5, 2.0, dim)) if weighted else None)
+        lo = np.array([a for a, _ in self.ENGINE_BLOCKS])
+        count = np.array([k for _, k in self.ENGINE_BLOCKS])
+        want = np.array([_lag_scan(np.ascontiguousarray(P[:, a : a + k]), np.array([k]), spec)[0]
+                         for a, k in self.ENGINE_BLOCKS])
+        assert want[-1] > 0.0
+        np.testing.assert_array_equal(_DiameterScan(P, lo, count, spec).run(), want)
+        np.testing.assert_array_equal(_block_diameters(P, lo, lo + count, spec), want)
+
+    @pytest.mark.parametrize("count", [4096, 4097])
+    def test_branch_and_bound_on_both_sides_of_the_second_fanout_edge(self, count):
+        t = np.linspace(0.0, 3.0, count)
+        P = np.ascontiguousarray(np.vstack([np.cos(t), np.sin(t), t]))
+        want = _lag_scan(P, np.array([count]), NormSpec(2.0))
+        got = _DiameterScan(P, np.zeros(1, dtype=np.intp), np.array([count]), NormSpec(2.0)).run()
+        np.testing.assert_array_equal(got, want)
 
 
 class TestKochGenerator:
