@@ -44,6 +44,9 @@ class HolderFit:
     whose ratio the branch-and-bound evaluated exactly, for instance 13%
     of all pairs on the level-6 Koch curve at its fitted order, and 47%
     on the 1500 scattered points of the ``sampled_curves`` benchmark fit.
+    The count depends on the search as well as the data: its block radii
+    are exact distances only on leaves of 16 samples, and above them are
+    bounds built from the children's radii.
 
     A pair of coincident domain points with distinct images makes the
     data non-Holder: then C, log_C and residual are inf and the witness
@@ -224,8 +227,9 @@ def _regression_logs(
     logs1, logs2 = [], []
     for a in range(0, len(ii), _STEP_CHUNK):  # chunks keep every temporary in cache
         i, j = ii[a : a + _STEP_CHUNK], jj[a : a + _STEP_CHUNK]
-        D1 = _dist(d1, _diffs(XT, i, j))
-        D2 = _dist(d2, _diffs(YT, i, j))
+        with np.errstate(over="ignore", invalid="ignore"):  # such pairs are left out below
+            D1 = _dist(d1, _diffs(XT, i, j))
+            D2 = _dist(d2, _diffs(YT, i, j))
         ok = (0.0 < D1) & (D1 < math.inf) & (0.0 < D2) & (D2 < math.inf)
         logs1.append(np.log(D1[ok]))
         logs2.append(np.log(D2[ok]))
@@ -242,114 +246,172 @@ def _diffs(PT: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return PT.take(i, axis=1) - PT.take(j, axis=1)
 
 
-class _MaxRatioScan:
-    """Branch-and-bound for the largest d2 / d1^alpha over the pairs i < j.
+class _PairSearch:
+    """Branch-and-bound over the pairs of samples inside each of many blocks.
 
-    The samples are first put in a k-d order (``_spatial_order``), so
-    that every block below is a spatially compact cell of the domain.
-    They are then split into blocks of consecutive samples on levels:
-    leaves of ``_LEAF`` samples, and each level's blocks gather
-    ``_FANOUT`` blocks of the level below.  Each block has an anchor
-    sample a and radii r1, r2, the largest base-norm distances N1, N2
-    from a to its samples (d = N^beta).  For i in block I and j in block J
-    the triangle inequality of the norms gives
+    The block pair search of Har-Peled (SoCG 2001), shared by the Holder
+    fit (one block, all samples) and the covering diameters (many
+    blocks).  The samples of block k are the columns lo[k], ...,
+    lo[k] + count[k] - 1 of ``P``; they are gathered back to back, each
+    block padded to a multiple of ``_LEAF`` slots with repeats of its
+    last sample.  Nodes form levels: leaves of ``_LEAF`` slots, and
+    parents of up to ``_FANOUT`` consecutive nodes of one block on the
+    level below, until every block is one node.  A node's anchor a is
+    the slot start + w // 2 of its range, w = _LEAF * _FANOUT^level,
+    clipped to the range's last slot, so it is a sample of the node.
+    The rows of ``P`` may hold several spaces, each a slice of rows with
+    its norm N (a fit's domain and range), and per space a node's radius
+    r bounds N(p - a) over its samples: a leaf's is the largest such
+    norm, a parent's is max N(a_child - a) + r_child over its children,
+    padded by ``_SLACK``, so only the leaves touch the samples.  Then
+    for i in node I and j in node J,
 
-        N2(y_i - y_j) <= N2(a_I - a_J) + r2_I + r2_J,
-        N1(x_i - x_j) >= N1(a_I - a_J) - r1_I - r1_J,
+        N(a_I - a_J) - r_I - r_J <= N(p_i - p_j) <= N(a_I - a_J) + r_I + r_J.
 
-    and N^beta is increasing, so raising the first to beta2 and the
-    second to beta1 * alpha gives U and L with U / L bounding every ratio
-    of the block pair (infinite when L <= 0, which covers every
-    coincident pair).  Taking the norms before the powers keeps the bound
-    tight under a snowflake, where a sum of beta-powers is not.  U is
-    padded by ``_SLACK`` after its power, so the margin against rounding
-    does not shrink with beta2, and L is padded before its power.
+    ``levels[l]`` holds the anchors (columns), the radii (one row per
+    space), each node's block, and the (first, kids) of its children on
+    level l - 1: node n's are first[n], ..., first[n] + kids[n] - 1.
 
-    Starting from the one root pair, block pairs are split depth first,
-    highest bound first, in batches, and dropped once their bound is
-    below the best ratio found.  A block pair whose bound equals the best
-    is kept, so every pair that attains the maximum is scanned, and
-    ``key`` is the lexicographically smallest of them (as i * count + j,
-    in the caller's sample indices), as a row-major scan of all pairs
-    would return.
-
-    The exact ratio is d2 / d1^alpha, taken from logarithms where d1^alpha
-    leaves the normal range.  Where the ratio overflows, ``best`` is inf
-    and ``best_log`` holds the largest log ratio.  ``bad_key`` is the
-    smallest pair with d1 = 0 < d2, if any.
+    Starting from every block's root pair, node pairs (I, J), I <= J,
+    of one block are split depth first, highest bound first, in batches
+    of ``_BATCH``.  Subclasses define the three steps that differ: the
+    bound of node pairs (``_bounds``), the test that keeps a pair
+    (``_live``) and the exact scan of leaf pairs (``_scan_leaves``).
     """
 
-    def __init__(self, X, Y, d1: Metric, d2: Metric, alpha: float):
-        self.count = count = len(X)
-        self.d1, self.d2, self.alpha = d1, d2, alpha
-        self.order = _spatial_order(X)
-        XT = np.ascontiguousarray(X[self.order].T)
-        YT = np.ascontiguousarray(Y[self.order].T)
-        self.levels = []
-        size = _LEAF
-        while True:
-            self.levels.append(_block_anchors(XT, d1.norm, size)
-                               + _block_anchors(YT, d2.norm, size))
-            if size >= count:
-                break
-            size *= _FANOUT
-        # the children of block n on level l + 1 are blocks first[n], ...,
-        # first[n] + kids[n] - 1 on level l
-        self.children = []
-        for below in self.levels[:-1]:
-            first = np.arange(0, len(below[1]), _FANOUT)
-            self.children.append((first, np.minimum(_FANOUT, len(below[1]) - first)))
-        rows = np.minimum(np.arange(len(self.levels[0][1]) * _LEAF), count - 1)
-        self.XL = XT.take(rows, axis=1).reshape(len(XT), -1, _LEAF)
-        self.YL = YT.take(rows, axis=1).reshape(len(YT), -1, _LEAF)
-        self.best = -1.0
-        self.best_log = -math.inf
-        self.key = 0
-        self.bad_key = None
-        self.pairs_scanned = 0
+    def __init__(self, P: np.ndarray, lo: np.ndarray, count: np.ndarray, spaces) -> None:
+        nodes = -(-count // _LEAF)  # per block, on the current level
+        size = nodes * _LEAF
+        slots = np.minimum(_concat_ranges(lo, size), np.repeat(lo + count - 1, size))
+        G = P.take(slots, axis=1)
+        self.leaves = L = G.reshape(len(G), -1, _LEAF)
+        A = np.ascontiguousarray(L[:, :, _LEAF // 2])
+        R = np.array([_norm(N, L[rows] - A[rows, :, None]).max(axis=1) for rows, N in spaces])
+        start = np.arange(0, G.shape[1], _LEAF)  # each node's slot range in G
+        stop = start + _LEAF
+        block = np.repeat(np.arange(len(count)), nodes)
+        self.levels = [(A, R, block, None)]
+        width = _LEAF
+        while nodes.max() > 1:
+            width *= _FANOUT
+            parents = -(-nodes // _FANOUT)
+            k = _concat_ranges(np.zeros_like(parents), parents)  # parent k of its block
+            first = np.repeat(np.cumsum(nodes) - nodes, parents) + k * _FANOUT
+            kids = np.minimum(_FANOUT, np.repeat(nodes, parents) - k * _FANOUT)
+            start, stop = start[first], stop[first + kids - 1]
+            AP = G.take(np.minimum(start + width // 2, stop - 1), axis=1)
+            D = A - AP.take(np.repeat(np.arange(len(first)), kids), axis=1)
+            reach = np.array([_norm(N, D[rows]) for rows, N in spaces]) + R
+            R = np.maximum.reduceat(reach, first, axis=1) * (1.0 + _SLACK)
+            A, block, nodes = AP, block[first], parents
+            self.levels.append((A, R, block, (first, kids)))
 
-    def run(self) -> None:
-        root = np.zeros(1, dtype=np.intp)
-        stack = [(len(self.levels) - 1, root, root, np.full(1, math.inf))]
+    def run(self):
+        """Search every block; returns ``best``."""
+        top = len(self.levels) - 1
+        roots = np.arange(len(self.levels[top][2]))  # on the top level, node k is block k
+        stack = [(top, roots, roots, np.full(len(roots), math.inf))]
         while stack:
             level, I, J, bound = stack.pop()
-            keep = bound >= self.best
+            _, _, block, children = self.levels[level]
+            keep = self._live(bound, block[I])
             if not keep.any():
                 continue
             I, J = I[keep], J[keep]
             if level == 0:
                 self._scan_leaves(I, J)
                 continue
+            I, J = _child_pairs(I, J, *children)
             level -= 1
-            I, J = _child_pairs(I, J, *self.children[level])
             bound = self._bounds(level, I, J)
-            order = np.argsort(-bound, kind="stable")
-            order = order[: np.count_nonzero(bound >= self.best)]
+            live = np.flatnonzero(self._live(bound, self.levels[level][2][I]))
+            order = live[np.argsort(-bound[live], kind="stable")]
             for s in range((len(order) - 1) // _BATCH * _BATCH, -1, -_BATCH):
                 part = order[s : s + _BATCH]
                 stack.append((level, I[part], J[part], bound[part]))
+        return self.best
+
+    def _leaf_diffs(self, I: np.ndarray, J: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """p_i - p_j on ``rows`` for every slot i of leaf I[k] and j of
+        leaf J[k], as a (rows, k, _LEAF, _LEAF) array."""
+        L = self.leaves[rows]
+        return L.take(I, axis=1)[..., :, None] - L.take(J, axis=1)[..., None, :]
+
+
+class _MaxRatioScan(_PairSearch):
+    """Branch-and-bound for the largest d2 / d1^alpha over the pairs i < j.
+
+    The samples are first put in a k-d order (``_spatial_order``), so
+    that every node of the one-block ``_PairSearch`` is a spatially
+    compact cell of the domain.  Its spaces are the domain under the
+    base norm N1 and the range under N2 (d = N^beta), with radii r1 and
+    r2: exact at the leaves, bounds built from the children above them.
+    N^beta is increasing, so raising the search's upper bound on N2 to
+    beta2 and its lower bound on N1 to beta1 * alpha gives U and L with
+    U / L bounding every ratio of the node pair (infinite when L <= 0,
+    which covers every coincident pair).  Taking the norms before the
+    powers keeps the bound tight under a snowflake, where a sum of
+    beta-powers is not.  U is padded by ``_SLACK`` after its power, so
+    the margin against rounding does not shrink with beta2, and L is
+    padded before its power.
+
+    A node pair is dropped once its bound is below the best ratio found.
+    A pair whose bound equals the best is kept, so every pair that
+    attains the maximum is scanned, and ``key`` is the lexicographically
+    smallest of them (as i * count + j, in the caller's sample indices),
+    as a row-major scan of all pairs would return.  A nan bound is kept
+    too, so a pair whose range distance overflows is always scanned.
+
+    The exact ratio is d2 / d1^alpha, taken from logarithms where d1^alpha
+    leaves the normal range.  Where the ratio overflows, ``best`` is inf
+    and ``best_log`` holds the largest log ratio.  ``bad_key`` is the
+    smallest pair with d1 = 0 < d2, if any.  A pair with 0 < d1 < inf
+    whose d2 overflows raises ``ValueError``; pairs whose d1 overflows
+    are left out.
+    """
+
+    def __init__(self, X, Y, d1: Metric, d2: Metric, alpha: float):
+        self.count = count = len(X)
+        self.xs, self.ys = slice(X.shape[1]), slice(X.shape[1], None)  # rows of each space
+        self.d1, self.d2, self.alpha = d1, d2, alpha
+        self.order = _spatial_order(X)
+        with np.errstate(over="ignore", invalid="ignore"):  # radii of inf are never pruned
+            super().__init__(np.hstack([X, Y])[self.order].T, np.zeros(1, dtype=np.intp),
+                             np.array([count]), [(self.xs, d1.norm), (self.ys, d2.norm)])
+        self.best = -1.0
+        self.best_log = -math.inf
+        self.key = 0
+        self.bad_key = None
+        self.pairs_scanned = 0
+
+    def _live(self, bound: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return ~(bound < self.best)
 
     def _bounds(self, level: int, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-        AX, R1, AY, R2 = self.levels[level]
+        A, (R1, R2), _, _ = self.levels[level]
         with np.errstate(all="ignore"):
-            upper = _norm(self.d2.norm, _diffs(AY, I, J)) + R2[I] + R2[J]
+            D = _diffs(A, I, J)
+            upper = _norm(self.d2.norm, D[self.ys]) + R2[I] + R2[J]
             upper = upper ** self.d2.beta * (1.0 + _SLACK)
-            gap = _norm(self.d1.norm, _diffs(AX, I, J))
+            gap = _norm(self.d1.norm, D[self.xs])
             reach = R1[I] + R1[J]
             lower = np.maximum(gap - reach - _SLACK * (gap + reach), 0.0)
             lower = lower ** (self.d1.beta * self.alpha)
             return np.where(lower >= _TINY, upper / lower, math.inf)
 
     def _scan_leaves(self, I: np.ndarray, J: np.ndarray) -> None:
-        XI, XJ = self.XL.take(I, axis=1), self.XL.take(J, axis=1)
-        YI, YJ = self.YL.take(I, axis=1), self.YL.take(J, axis=1)
-        D1 = _dist(self.d1, XI[..., :, None] - XJ[..., None, :])
-        D2 = _dist(self.d2, YI[..., :, None] - YJ[..., None, :])
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is handled below
+            D1 = _dist(self.d1, self._leaf_diffs(I, J, self.xs))
+            D2 = _dist(self.d2, self._leaf_diffs(I, J, self.ys))
         offset = np.arange(_LEAF)
         rows = (I * _LEAF)[:, None, None] + offset[None, :, None]
         cols = (J * _LEAF)[:, None, None] + offset[None, None, :]
         valid = (rows < cols) & (cols < self.count)
         self.pairs_scanned += int(np.count_nonzero(valid))
+        usable = valid & (D1 > 0.0) & (D1 < math.inf)  # d1 = inf only where x - y overflows
+        # the max clears most batches in one pass
+        if not (D2.max() < math.inf or np.all(D2[usable] < math.inf)):
+            raise ValueError("range distance of finite input overflows the float range")
 
         def smallest(mask) -> int:  # in the caller's sample indices
             k, r, c = np.unravel_index(np.flatnonzero(mask), mask.shape)
@@ -363,7 +425,6 @@ class _MaxRatioScan:
             self.bad_key = key if self.bad_key is None else min(self.bad_key, key)
             self.best = math.inf  # only block pairs that may hold coincident pairs remain
             return
-        usable = valid & (D1 > 0.0) & (D1 < math.inf)  # d1 = inf only where x - y overflows
         alpha = self.alpha
         with np.errstate(divide="ignore", invalid="ignore", under="ignore", over="ignore"):
             scale = np.where(usable, D1, 1.0) ** alpha
@@ -418,17 +479,6 @@ def _spatial_order(X: np.ndarray) -> np.ndarray:
         mid = lo + _LEAF * (1 << ((leaves - 1).bit_length() - 1))
         stack += [(lo, mid), (mid, hi)]
     return order
-
-
-def _block_anchors(PT: np.ndarray, norm: NormSpec, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Anchors (each block's middle sample, as columns) and radii under
-    ``norm`` of the blocks of ``size`` consecutive columns of ``PT``."""
-    count = PT.shape[1]
-    starts = np.arange(0, count, size)
-    anchors = np.minimum(starts + size // 2, count - 1)
-    owner = np.repeat(anchors, np.diff(np.append(starts, count)))
-    radii = np.maximum.reduceat(_norm(norm, PT - PT.take(owner, axis=1)), starts)
-    return PT.take(anchors, axis=1), radii
 
 
 def _child_pairs(
@@ -668,103 +718,41 @@ def _block_diameters(
     return diam
 
 
-class _DiameterScan:
+class _DiameterScan(_PairSearch):
     """Branch-and-bound for the largest N(p_i - p_j) inside each of many blocks.
 
-    The blocks' samples are gathered back to back, each block padded to
-    a multiple of ``_LEAF`` samples with repeats of its last sample,
-    which change no diameter.  Inside each block, nodes form levels as
-    in ``_MaxRatioScan``: leaves of ``_LEAF`` samples, and parents of up
-    to ``_FANOUT`` consecutive nodes of the level below, until every
-    block is one node.  A node's anchor a is the middle sample of its
-    range and its radius r bounds N(p - a) over its samples: a leaf's is
-    the largest such norm, a parent's is max N(a_child - a) + r_child
-    over its children, padded by ``_SLACK``, so only the leaves touch
-    the samples.  For i in node I and j in node J of one block,
-
-        N(p_i - p_j) <= N(a_I - a_J) + r_I + r_J,
-
-    padded by ``_SLACK``.  The anchors are samples, so every
+    A ``_PairSearch`` over the blocks with one space, whose padded
+    slots change no diameter; a node pair's bound is the search's upper
+    bound, padded by ``_SLACK``.  The anchors are samples, so every
     N(a_I - a_J) is a real pair distance of the block and raises its
-    best value.  Node pairs are split depth first, highest bound first,
-    in batches, and dropped once their bound is at most their block's
-    best value: only the value is wanted, not a witness, so a tie cannot
-    change it, and a block of one repeated sample prunes at once.  A nan
-    bound is never dropped, so a pair whose difference overflows is
-    scanned and its nan or inf reaches the result.  Leaf pairs are
-    scanned exactly, with ``norms._norm``, so every finite diameter has
-    the bits of a scan of all its block's pairs.
+    best value.  A node pair is dropped once its bound is at most its
+    block's best value: only the value is wanted, not a witness, so a
+    tie cannot change it, and a block of one repeated sample prunes at
+    once.  A nan bound is never dropped, so a pair whose difference
+    overflows is scanned and its nan or inf reaches the result; a block
+    whose best value is nan is done.  Leaf pairs are scanned exactly,
+    with ``norms._norm``, so every finite diameter has the bits of a
+    scan of all its block's pairs.
     """
 
     def __init__(self, P: np.ndarray, lo: np.ndarray, count: np.ndarray, norm: NormSpec):
         self.norm = norm
         self.best = np.full(len(count), -np.inf)
-        nodes = -(-count // _LEAF)  # per block, on the current level
-        size = nodes * _LEAF
-        G = P.take(np.minimum(_concat_ranges(lo, size), np.repeat(lo + count - 1, size)), axis=1)
-        self.GL = GL = G.reshape(len(G), -1, _LEAF)
-        start = np.arange(0, G.shape[1], _LEAF)  # each node's sample range in G
-        stop = start + _LEAF
-        block = np.repeat(np.arange(len(count)), nodes)
-        A = np.ascontiguousarray(GL[:, :, _LEAF // 2])
-        R = _norm(norm, GL - A[:, :, None]).max(axis=1)
-        # per level: anchors, radii, block of each node, and its children
-        self.levels = [(A, R, block, None)]
-        while nodes.max() > 1:
-            parents = -(-nodes // _FANOUT)
-            k = _concat_ranges(np.zeros_like(parents), parents)  # parent k of its block
-            first = np.repeat(np.cumsum(nodes) - nodes, parents) + k * _FANOUT
-            kids = np.minimum(_FANOUT, np.repeat(nodes, parents) - k * _FANOUT)
-            start, stop = start[first], stop[first + kids - 1]
-            AP = G.take((start + stop) // 2, axis=1)
-            parent = np.repeat(np.arange(len(first)), kids)
-            reach = _norm(norm, A - AP.take(parent, axis=1)) + R
-            R = np.maximum.reduceat(reach, first) * (1.0 + _SLACK)
-            A, block, nodes = AP, block[first], parents
-            self.levels.append((A, R, block, (first, kids)))
-
-    def run(self) -> np.ndarray:
-        """The diameter of every block."""
-        level = len(self.levels) - 1
-        roots = np.arange(len(self.best))  # on the top level, node k is block k's
-        stack = [(level, roots, roots, np.full(len(roots), math.inf))]
-        while stack:
-            level, I, J, bound = stack.pop()
-            _, _, block, children = self.levels[level]
-            keep = self._live(bound, block[I])
-            if not keep.any():
-                continue
-            I, J = I[keep], J[keep]
-            if level == 0:
-                self._scan_leaves(I, J, block[I])
-                continue
-            I, J = _child_pairs(I, J, *children)
-            level -= 1
-            A, R, block, _ = self.levels[level]
-            owner = block[I]
-            gap = _norm(self.norm, _diffs(A, I, J))
-            np.maximum.at(self.best, owner, gap)
-            bound = (gap + R[I] + R[J]) * (1.0 + _SLACK)
-            live = np.flatnonzero(self._live(bound, owner))
-            order = live[np.argsort(-bound[live], kind="stable")]
-            for s in range((len(order) - 1) // _BATCH * _BATCH, -1, -_BATCH):
-                part = order[s : s + _BATCH]
-                stack.append((level, I[part], J[part], bound[part]))
-        return self.best
+        super().__init__(P, lo, count, [(slice(None), norm)])
 
     def _live(self, bound: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Node pairs that may raise their block's best value.
-
-        A nan bound is kept; a block whose best value is nan or inf is
-        done, as its diameter is no longer finite.
-        """
         best = self.best[owner]
         return ~(bound <= best) & ~np.isnan(best)
 
-    def _scan_leaves(self, I: np.ndarray, J: np.ndarray, owner: np.ndarray) -> None:
-        XI, XJ = self.GL.take(I, axis=1), self.GL.take(J, axis=1)
-        D = _norm(self.norm, XI[..., :, None] - XJ[..., None, :])
-        np.maximum.at(self.best, owner, D.reshape(len(I), -1).max(axis=1))
+    def _bounds(self, level: int, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+        A, (R,), block, _ = self.levels[level]
+        gap = _norm(self.norm, _diffs(A, I, J))
+        np.maximum.at(self.best, block[I], gap)
+        return (gap + R[I] + R[J]) * (1.0 + _SLACK)
+
+    def _scan_leaves(self, I: np.ndarray, J: np.ndarray) -> None:
+        D = _norm(self.norm, self._leaf_diffs(I, J))
+        np.maximum.at(self.best, self.levels[0][2][I], D.reshape(len(I), -1).max(axis=1))
 
 
 def _functionals(norm: NormSpec, dim: int) -> np.ndarray | None:

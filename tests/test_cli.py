@@ -352,6 +352,20 @@ class TestHolderCommand:
         assert out["C"] is None and out["residual"] is None and out["log_C"] is None
         assert out["witness"] == [1, 2]
 
+    @pytest.mark.parametrize("d2", ["lp:1", "lp:2"])
+    def test_overflowing_range_distance_exit_code(self, tmp_path, capsys, d2):
+        # d2 between samples 3 and 8 is 3.4e308; no verdict is printed
+        xs = np.arange(100.0)
+        ys = np.zeros((100, 2))
+        ys[3], ys[8] = (1.7e308, 0.0), (-1.7e308, 0.0)
+        dom = write_curve(tmp_path / "d.json", xs, xs[:, None])
+        rng = write_curve(tmp_path / "r.json", xs, ys)
+        code = main(["holder", dom, rng, "--d1", "lp:1", "--d2", d2, "--alpha", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert captured.out == ""
+        assert "overflows the float range" in captured.err
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
     def test_non_positive_or_non_finite_order_exit_code(self, tmp_path, alpha):
         xs = np.linspace(0.0, 1.0, 20)
