@@ -4,7 +4,6 @@ test-curve generator."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -251,14 +250,29 @@ class _PairSearch:
 
     The block pair search of Har-Peled (SoCG 2001), shared by the Holder
     fit (one block, all samples) and the covering diameters (many
-    blocks).  The samples of block k are the columns lo[k], ...,
-    lo[k] + count[k] - 1 of ``P``; they are gathered back to back, each
-    block padded to a multiple of ``_LEAF`` slots with repeats of its
-    last sample.  Nodes form levels: leaves of ``_LEAF`` slots, and
-    parents of up to ``_FANOUT`` consecutive nodes of one block on the
-    level below, until every block is one node.  A node's anchor a is
-    the slot start + w // 2 of its range, w = _LEAF * _FANOUT^level,
-    clipped to the range's last slot, so it is a sample of the node.
+    blocks, possibly overlapping).  The samples of block k are the
+    columns lo[k], ..., lo[k] + count[k] - 1 of ``P``, count[k] >= 1.
+
+    The leaves are runs of ``_LEAF`` samples.  Every aligned run
+    P[:, 16 n : 16 n + 16] is leaf n, taken once from a reshape of P and
+    shared by every block that holds it whole.  A block adds at most two
+    partial leaves of its own: a head leaf of the samples before its
+    first aligned run and a tail leaf of those after its last, each
+    padded to ``_LEAF`` slots with repeats of its last sample.  So a
+    block that starts at a multiple of ``_LEAF`` has the leaves of its
+    samples gathered back to back and padded at the end, and that
+    includes every fit.  ``leaves`` holds the full leaves, then the
+    partial ones, and ``leaf[n]`` is the leaf of node n on level 0: each
+    block's leaves in sample order, block after block.
+
+    Nodes form levels: level 0, and parents of up to ``_FANOUT``
+    consecutive nodes of one block on the level below, until every
+    block is one node.  A leaf's anchor is its slot ``_LEAF`` // 2.  A
+    parent's anchor is the first slot of its child ``_FANOUT`` // 2, or
+    the last slot of its last leaf if it has fewer children, so it is a
+    sample of the node; for a block that starts at a multiple of
+    ``_LEAF`` this is the slot start + w // 2 of the node's slot range,
+    w = _LEAF * _FANOUT^level, clipped to the range's last slot.
     The rows of ``P`` may hold several spaces, each a slice of rows with
     its norm N (a fit's domain and range), and per space a node's radius
     r bounds N(p - a) over its samples: a leaf's is the largest such
@@ -280,26 +294,40 @@ class _PairSearch:
     """
 
     def __init__(self, P: np.ndarray, lo: np.ndarray, count: np.ndarray, spaces) -> None:
-        nodes = -(-count // _LEAF)  # per block, on the current level
-        size = nodes * _LEAF
-        slots = np.minimum(_concat_ranges(lo, size), np.repeat(lo + count - 1, size))
-        G = P.take(slots, axis=1)
-        self.leaves = L = G.reshape(len(G), -1, _LEAF)
-        A = np.ascontiguousarray(L[:, :, _LEAF // 2])
-        R = np.array([_norm(N, L[rows] - A[rows, :, None]).max(axis=1) for rows, N in spaces])
-        start = np.arange(0, G.shape[1], _LEAF)  # each node's slot range in G
-        stop = start + _LEAF
+        hi = lo + count
+        a = -(-lo // _LEAF) * _LEAF  # samples a, ..., b - 1 of a block are whole leaves
+        b = np.maximum(hi // _LEAF * _LEAF, a)
+        edges = np.column_stack([lo, np.minimum(a, hi), b, hi]).reshape(-1, 2, 2)
+        partial = edges[:, :, 0] < edges[:, :, 1]  # (head, tail) of each block
+        start, stop = edges[partial].T
+        slots = start[:, None] + np.minimum(np.arange(_LEAF), (stop - start - 1)[:, None])
+        whole = P.shape[1] // _LEAF
+        self.leaves = L = np.concatenate([
+            P[:, : whole * _LEAF].reshape(len(P), whole, _LEAF),
+            P.take(slots.ravel(), axis=1).reshape(len(P), len(slots), _LEAF)], axis=1)
+        A0 = np.ascontiguousarray(L[:, :, _LEAF // 2])
+        R0 = np.array([_norm(N, L[rows] - A0[rows, :, None]).max(axis=1) for rows, N in spaces])
+        # level 0: each block's head leaf, its aligned leaves, its tail leaf
+        nodes = partial.sum(axis=1) + (b - a) // _LEAF
+        head = np.cumsum(nodes) - nodes
+        self.leaf = leaf = _concat_ranges(a // _LEAF - partial[:, 0], nodes)
+        part_id = whole + np.cumsum(partial).reshape(-1, 2) - 1
+        leaf[head[partial[:, 0]]] = part_id[partial[:, 0], 0]
+        leaf[(head + nodes - 1)[partial[:, 1]]] = part_id[partial[:, 1], 1]
+        A, R = A0.take(leaf, axis=1), R0.take(leaf, axis=1)
         block = np.repeat(np.arange(len(count)), nodes)
         self.levels = [(A, R, block, None)]
-        width = _LEAF
+        flat = L.reshape(len(L), -1)
+        lead = last = np.arange(len(leaf))  # each node's first and last leaf node
         while nodes.max() > 1:
-            width *= _FANOUT
             parents = -(-nodes // _FANOUT)
             k = _concat_ranges(np.zeros_like(parents), parents)  # parent k of its block
             first = np.repeat(np.cumsum(nodes) - nodes, parents) + k * _FANOUT
             kids = np.minimum(_FANOUT, np.repeat(nodes, parents) - k * _FANOUT)
-            start, stop = start[first], stop[first + kids - 1]
-            AP = G.take(np.minimum(start + width // 2, stop - 1), axis=1)
+            mid = lead[np.minimum(first + _FANOUT // 2, len(lead) - 1)]
+            lead, last = lead[first], last[first + kids - 1]
+            AP = flat.take(np.where(kids > _FANOUT // 2, leaf[mid] * _LEAF,
+                                    leaf[last] * _LEAF + _LEAF - 1), axis=1)
             D = A - AP.take(np.repeat(np.arange(len(first)), kids), axis=1)
             reach = np.array([_norm(N, D[rows]) for rows, N in spaces]) + R
             R = np.maximum.reduceat(reach, first, axis=1) * (1.0 + _SLACK)
@@ -335,6 +363,7 @@ class _PairSearch:
         """p_i - p_j on ``rows`` for every slot i of leaf I[k] and j of
         leaf J[k], as a (rows, k, _LEAF, _LEAF) array."""
         L = self.leaves[rows]
+        I, J = self.leaf[I], self.leaf[J]
         return L.take(I, axis=1)[..., :, None] - L.take(J, axis=1)[..., None, :]
 
 
@@ -403,7 +432,7 @@ class _MaxRatioScan(_PairSearch):
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is handled below
             D1 = _dist(self.d1, self._leaf_diffs(I, J, self.xs))
             D2 = _dist(self.d2, self._leaf_diffs(I, J, self.ys))
-        offset = np.arange(_LEAF)
+        offset = np.arange(_LEAF)  # node n of the one block is leaf n, slots 16 n, ...
         rows = (I * _LEAF)[:, None, None] + offset[None, :, None]
         cols = (J * _LEAF)[:, None, None] + offset[None, None, :]
         valid = (rows < cols) & (cols < self.count)
@@ -576,7 +605,7 @@ def check_order_gt1_constant(
     precondition_ok = worst <= tol
 
     bound = _collapse_bound(C, float(h.max()), alpha - 1.0, span)
-    P = np.ascontiguousarray(Y.T)
+    P = Y.T
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         diam = _block_diameters(P, np.zeros(1, dtype=np.intp), np.full(1, len(Y)), d2.norm)
     spread = _finite_result(float((diam ** d2.beta)[0]), "range diameter")
@@ -608,16 +637,18 @@ def hausdorff_covering_sum(
     blocks that hold at least 2.  Bounded sums across scales indicate
     finite alpha-dimensional content of the curve's image.
 
-    The diameters are exact, not estimates.  Under l1, the max norm, or
-    in one dimension the norm is the largest |f(v)| over finitely many
-    linear functionals f, so a block's diameter is the largest
-    max - min of some f over the block.  Under any other norm, blocks of
-    up to 48 samples scan all their pairs, and longer ones, all blocks
-    of a scale together, take the largest pair distance by a
-    branch-and-bound over nested runs of samples, which bounds each
+    The diameters are exact, not estimates, and the blocks of every
+    scale go to one diameter call.  Under l1, the max norm, or in one
+    dimension the norm is the largest |f(v)| over finitely many linear
+    functionals f, so a block's diameter is the largest max - min of
+    some f over the block, taken from slices of the samples.  Under any
+    other norm, blocks of up to 35 samples scan all their pairs, and
+    longer ones, of all scales together, take the largest pair distance
+    by a branch-and-bound over nested runs of samples, which bounds each
     pair of runs by the triangle inequality and scans exactly only the
-    runs whose bound reaches the block's best distance found.  A sum
-    beyond the float range raises ``ValueError``.
+    runs whose bound reaches the block's best distance found.  Its runs
+    of 16 samples aligned to the curve are built once and shared by
+    every scale.  A sum beyond the float range raises ``ValueError``.
     """
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
@@ -625,15 +656,13 @@ def hausdorff_covering_sum(
     _check_dim(c, m)
     if len(c) < 2:
         return [(s, 0.0) for s in scale_list]
-    P = np.ascontiguousarray(c.points.T)
-    out: list[tuple[int, float]] = []
-    for s in scale_list:
-        lo, hi = _block_bounds(c.params, s)
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-            diam = _block_diameters(P, lo, hi, m.norm)
-            total = float(np.sum(diam ** (m.beta * alpha)))
-        out.append((s, _finite_result(total, "covering sum")))
-    return out
+    P = c.points.T
+    lo, hi = (np.concatenate(ends) for ends in zip(*(_block_bounds(c.params, s) for s in scale_list)))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        diam = _block_diameters(P, lo, hi, m.norm)
+        totals = [float(np.sum(d ** (m.beta * alpha)))
+                  for d in np.split(diam, np.cumsum(scale_list)[:-1])]
+    return [(s, _finite_result(total, "covering sum")) for s, total in zip(scale_list, totals)]
 
 
 def covering_resolution(c: Polyline, scales) -> list[tuple[int, int, int]]:
@@ -676,12 +705,14 @@ def _block_bounds(t: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Blocks of up to this many samples get a lag scan of all their pairs; it
-# measured faster there than the branch-and-bound of longer blocks.
-_LAG_SCAN_MAX = 48
+# measured faster there than the branch-and-bound, and slower above (on
+# Koch level 10 under l2 the two are level at 35- and 36-sample blocks).
+_LAG_SCAN_MAX = 35
 # l1 needs 2^(n-1) sign functionals; above this dimension the pair
 # searches are cheaper.
 _L1_FUNCTIONAL_MAX_DIM = 8
-# Short blocks are gathered about this many samples at a time: the copies
+# The lag scan gathers short blocks, and the functional spread centres
+# slices of the samples, about this many samples at a time: the copies
 # stay small and in cache, which also makes the passes over them faster.
 _CHUNK = 1 << 15
 
@@ -691,30 +722,35 @@ def _block_diameters(
 ) -> np.ndarray:
     """Diameters under ``norm`` of the blocks P[:, lo[k]:hi[k]], all at once.
 
-    ``P`` holds the samples as columns of a C-contiguous (dim, m) array.
-    Callers set ``np.errstate`` for overflow and report a non-finite
-    diameter themselves.  The pair scans hand their differences to ``norms._norm`` in that
-    layout, with no transposed copy, so every norm runs as a few
-    whole-row vector operations.  Blocks may share samples.  A block
+    ``P`` holds the samples as the columns of a (dim, m) array, such as
+    the transpose of a row-major point array.  The functional spreads
+    read it in slices; the pair scans first make it C-contiguous.  Callers
+    set ``np.errstate`` for overflow and report a non-finite diameter
+    themselves.  The pair scans hand their differences to
+    ``norms._norm`` in that layout, so every norm runs as a few
+    whole-row vector operations.  Blocks may share samples and may come
+    from many scales: all blocks longer than ``_LAG_SCAN_MAX`` samples
+    go to one pair search, whose aligned leaves they share.  A block
     with fewer than 2 samples has diameter 0.
     """
     diam = np.zeros(len(lo))
     count = hi - lo
-    W = _functionals(norm, P.shape[0])
-    long = (count > _LAG_SCAN_MAX) & (W is None)
-    rest = np.flatnonzero((count >= 2) & ~long)
-    for part in np.split(rest, np.flatnonzero(np.diff(np.cumsum(count[rest]) // _CHUNK)) + 1):
+    if _has_functionals(norm, len(P)):
+        some = np.flatnonzero(count >= 2)
+        if some.size:
+            diam[some] = _functional_spread(P, lo[some], count[some], norm)
+        return diam
+    P = np.ascontiguousarray(P)
+    short = np.flatnonzero((count >= 2) & (count <= _LAG_SCAN_MAX))
+    for part in np.split(short, np.flatnonzero(np.diff(np.cumsum(count[short]) // _CHUNK)) + 1):
         if part.size == 0:
             continue
-        if W is not None:
-            diam[part] = _functional_spread(P, lo[part], count[part], W)
-        else:
-            part = part[np.argsort(-count[part], kind="stable")]
-            Q = P.take(_concat_ranges(lo[part], count[part]), axis=1)
-            diam[part] = _lag_scan(Q, count[part], norm)
-    blocks = np.flatnonzero(long)
-    if blocks.size:
-        diam[blocks] = _DiameterScan(P, lo[blocks], count[blocks], norm).run()
+        part = part[np.argsort(-count[part], kind="stable")]
+        Q = P.take(_concat_ranges(lo[part], count[part]), axis=1)
+        diam[part] = _lag_scan(Q, count[part], norm)
+    long = np.flatnonzero(count > _LAG_SCAN_MAX)
+    if long.size:
+        diam[long] = _DiameterScan(P, lo[long], count[long], norm).run()
     return diam
 
 
@@ -755,32 +791,83 @@ class _DiameterScan(_PairSearch):
         np.maximum.at(self.best, self.levels[0][2][I], D.reshape(len(I), -1).max(axis=1))
 
 
-def _functionals(norm: NormSpec, dim: int) -> np.ndarray | None:
-    """Rows f with N(v) = max_f |f . v|, or None if no short list exists."""
-    w = np.ones(dim) if norm.weights is None else np.asarray(norm.weights)
-    if dim == 1 or norm.p == math.inf:
-        return np.diag(w)
-    if norm.p == 1.0 and dim <= _L1_FUNCTIONAL_MAX_DIM:
-        signs = itertools.product((1.0, -1.0), repeat=dim - 1)
-        return np.array([(1.0, *s) for s in signs]) * w
-    return None
+def _has_functionals(norm: NormSpec, dim: int) -> bool:
+    """Whether N(v) = max_f |f . v| over a short list of functionals f."""
+    return dim == 1 or norm.p == math.inf or (norm.p == 1.0 and dim <= _L1_FUNCTIONAL_MAX_DIM)
+
+
+def _functional_values(norm: NormSpec, Q: np.ndarray):
+    """f . v over the columns v of Q, one array per functional f of ``norm``.
+
+    The functionals are w_c e_c for the max norm and in one dimension,
+    and (w_0, +-w_1, ..., +-w_{n-1}) for l1, with the weights w of
+    ``norm``.  Each is evaluated elementwise, the terms f_c v_c added in
+    coordinate order, so a column's value does not depend on the other
+    columns.  The l1 sums share their prefixes: depth first, each
+    partial sum is formed once.
+    """
+    if norm.weights is not None:
+        Q = Q * np.asarray(norm.weights)[:, None]
+    if len(Q) == 1 or norm.p == math.inf:
+        yield from Q
+        return
+    stack = [(1, Q[0])]
+    while stack:
+        c, v = stack.pop()
+        if c == len(Q):
+            yield v
+        else:
+            stack += [(c + 1, v - Q[c]), (c + 1, v + Q[c])]
 
 
 def _functional_spread(
-    P: np.ndarray, lo: np.ndarray, count: np.ndarray, W: np.ndarray
+    P: np.ndarray, lo: np.ndarray, count: np.ndarray, norm: NormSpec
 ) -> np.ndarray:
-    """Largest max - min of the functionals W over each block P[:, lo:lo+count].
+    """Largest max - min of the functionals of ``norm`` over each block
+    P[:, lo:lo+count], count >= 2.
 
-    Each block is centred on its first sample, so the rounding error is
-    relative to the block's own extent, not to its distance from 0.
+    Each sample is centred on its block's first sample, so the rounding
+    error is relative to the block's own extent, not to its distance
+    from 0.  The blocks are cut into near-equal pieces of at most
+    ``_CHUNK`` samples, and runs of pieces that follow one another in P
+    are centred straight from slices of P, about ``_CHUNK`` samples at a
+    time.  Where a piece's last sample is the next piece's first, as
+    with neighbouring blocks of a closed cover, the slice gives it to
+    the next piece, whose block it starts, and it joins the extremes of
+    the first piece apart.
     """
-    Q = P.take(_concat_ranges(lo, count), axis=1)
-    Q -= np.repeat(P[:, lo], count, axis=1)
-    starts = np.cumsum(count) - count
+    cuts = -(-count // _CHUNK)
+    owner = np.repeat(np.arange(len(lo)), cuts)
+    k = _concat_ranges(np.zeros_like(cuts), cuts)
+    start = lo[owner] + count[owner] * k // cuts[owner]
+    stop = lo[owner] + count[owner] * (k + 1) // cuts[owner]
+    gap = start[1:] - stop[:-1]
+    ends = np.flatnonzero((gap > 0) | (gap < -1)
+                          | (np.diff(np.cumsum(stop - start) // _CHUNK) != 0)) + 1
+    shared = np.append(gap == -1, False)
+    shared[ends - 1] = False
+    own = stop - start - shared  # the samples each piece takes from its run's slice
+    centre = P[:, lo[owner]]
+    tops, bottoms = [], []  # per run, one row per functional
+    for i, j in zip(np.append(0, ends), np.append(ends, len(start))):
+        Q = np.repeat(centre[:, i:j], own[i:j], axis=1)
+        np.subtract(P[:, start[i] : stop[j - 1]], Q, out=Q)
+        at = start[i:j] - start[i]
+        tops.append([])
+        bottoms.append([])
+        for v in _functional_values(norm, Q):
+            tops[-1].append(np.maximum.reduceat(v, at))
+            bottoms[-1].append(np.minimum.reduceat(v, at))
+    top, bottom = np.hstack(tops), np.hstack(bottoms)
+    at = np.flatnonzero(shared)
+    values = np.array(list(_functional_values(norm, P[:, stop[at] - 1] - centre[:, at])))
+    top[:, at] = np.maximum(top[:, at], values)
+    bottom[:, at] = np.minimum(bottom[:, at], values)
+    first = np.cumsum(cuts) - cuts
+    spread = np.maximum.reduceat(top, first, axis=1) - np.minimum.reduceat(bottom, first, axis=1)
     best = np.zeros(len(lo))
-    for f in W:  # one pass per functional keeps memory at one row of Q
-        v = f @ Q
-        np.maximum(best, np.maximum.reduceat(v, starts) - np.minimum.reduceat(v, starts), out=best)
+    for row in spread:
+        np.maximum(best, row, out=best)
     return best
 
 

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import time
 import tracemalloc
@@ -30,6 +32,7 @@ from metricgeom import (
 )
 from metricgeom.curves import Polyline
 from metricgeom.holder import (
+    _CHUNK,
     _L1_FUNCTIONAL_MAX_DIM,
     _LAG_SCAN_MAX,
     _FANOUT,
@@ -895,7 +898,7 @@ def _oracle_diameters(D: np.ndarray, blocks) -> np.ndarray:
 class TestBlockDiameterOracle:
     """Every block diameter against an all-pairs scan, on every kernel branch."""
 
-    SCALES = [1, 2, 5, 9, 20, 60, 170, 500, 999, 3000]
+    SCALES = [1, 2, 5, 9, 20, 28, 60, 170, 500, 999, 3000]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
@@ -966,25 +969,45 @@ class TestBlockDiameterOracle:
         np.testing.assert_array_equal(got, want)
 
 
+def _leaf_runs(lo: int, count: int) -> list[np.ndarray]:
+    """The slots of a block's leaves: its samples cut at every multiple of
+    _LEAF, each run padded to _LEAF slots with repeats of its last sample."""
+    runs, a = [], lo
+    while a < lo + count:
+        b = min((a // _LEAF + 1) * _LEAF, lo + count)
+        runs.append(np.minimum(np.arange(a, a + _LEAF), b - 1))
+        a = b
+    return runs
+
+
 class TestPairSearchTree:
     """The node tree of the pair search, on a multi-block layout."""
 
+    # back to back, so most start off a multiple of _LEAF; then blocks
+    # that overlap them, as the blocks of several scales do
     BLOCKS = [1, 2, 16, 17, 256, 257, 4097]
+    OVERLAPPING = [(0, 4646), (32, 300), (7, 1000), (40, 9)]
 
     @pytest.mark.parametrize("p, weights", [(1.5, (0.5, 2.0, 1.25)), (2.0, None), (3.0, None),
                                             (2.0, (3.0, 0.25, 1.0)), (3.0, (1.0, 1.5, 0.75))])
     def test_radii_cover_every_sample_and_children_tile_parents(self, p, weights):
-        count = np.array(self.BLOCKS)
-        lo = np.cumsum(count) - count
-        P = np.cumsum(np.random.default_rng(6).normal(size=(3, count.sum())), axis=1)
+        count = np.array(self.BLOCKS + [k for _, k in self.OVERLAPPING])
+        lo = np.cumsum(self.BLOCKS) - self.BLOCKS
+        lo = np.append(lo, [a for a, _ in self.OVERLAPPING])
+        P = np.cumsum(np.random.default_rng(6).normal(size=(3, sum(self.BLOCKS))), axis=1)
         scan = _DiameterScan(P, lo, count, NormSpec(p, weights))
-        # the padded layout: each block's samples, then repeats of its last
-        # sample up to a multiple of _LEAF slots
-        size = -(-count // _LEAF) * _LEAF
-        G = P[:, np.concatenate([np.minimum(np.arange(a, a + s), a + k - 1)
-                                 for a, k, s in zip(lo, count, size)])]
-        block_of = np.repeat(np.arange(len(count)), size)
-        start = np.arange(0, G.shape[1], _LEAF)  # each node's slot range
+        # each block's leaves, back to back: one leaf per aligned run of
+        # _LEAF samples, and a padded partial leaf at either end
+        runs = [_leaf_runs(a, k) for a, k in zip(lo, count)]
+        slot_of = np.concatenate([np.concatenate(r) for r in runs])
+        G = P[:, slot_of]
+        np.testing.assert_array_equal(scan.leaves.take(scan.leaf, axis=1).reshape(3, -1), G)
+        # an aligned run is the one leaf of P that every block holding it shares
+        whole = np.array([r[-1] - r[0] == _LEAF - 1 for rs in runs for r in rs])
+        np.testing.assert_array_equal(scan.leaf[whole], slot_of[::_LEAF][whole] // _LEAF)
+        assert scan.leaves.shape[1] == P.shape[1] // _LEAF + np.count_nonzero(~whole)
+        block_of = np.repeat(np.arange(len(count)), [_LEAF * len(r) for r in runs])
+        start = np.arange(0, G.shape[1], _LEAF)  # each node's slot range in G
         stop = start + _LEAF
         below = None
         for A, R, block, children in scan.levels:
@@ -1008,6 +1031,140 @@ class TestPairSearchTree:
             assert np.all(R >= np.maximum.reduceat(reach, heads))
             below = block
         np.testing.assert_array_equal(below, np.arange(len(count)))  # one root per block
+
+
+def _block_ends(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """First and past-the-end sample of each block of sample indices (0, 0 if empty)."""
+    lo = np.array([b[0] if b.size else 0 for b in blocks])
+    hi = np.array([b[-1] + 1 if b.size else 0 for b in blocks])
+    return lo, hi
+
+
+class TestSharedLeaves:
+    """The blocks of every scale in one pair search, sharing its aligned leaves."""
+
+    # 4^j blocks start on multiples of _LEAF, 3^j blocks mostly off them;
+    # every block is longer than the lag-scan cut-off
+    SCALES = [4, 16, 3, 9, 27]
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_all_scales_at_once_equal_each_scale_alone_and_the_lag_scan(self, p):
+        n = 4 ** 5 + 1
+        P = np.cumsum(np.random.default_rng(17).normal(size=(3, n)), axis=1)
+        t = np.linspace(0.0, 1.0, n)
+        spec = NormSpec(p)
+        ends = [_block_ends(_oracle_blocks(t, s)) for s in self.SCALES]
+        lo, hi = (np.concatenate(x) for x in zip(*ends))
+        assert np.all(hi - lo > _LAG_SCAN_MAX)
+        assert np.any(lo % _LEAF == 0) and np.any(lo % _LEAF != 0)
+        want = np.array([_lag_scan(np.ascontiguousarray(P[:, a:b]), np.array([b - a]), spec)[0]
+                         for a, b in zip(lo, hi)])
+        np.testing.assert_array_equal(_block_diameters(P, lo, hi, spec), want)
+        alone = np.concatenate([_block_diameters(P, a, b, spec) for a, b in ends])
+        np.testing.assert_array_equal(alone, want)
+        # the covering sums, also under a snowflake: every scale at once
+        # has the bits of each scale alone
+        c = Polyline(t, P.T)
+        for m in (norm_metric(spec), snowflake(norm_metric(spec), 0.5)):
+            sums = hausdorff_covering_sum(c, m, 1.3, self.SCALES)
+            assert sums == [hausdorff_covering_sum(c, m, 1.3, [s])[0] for s in self.SCALES]
+            parts = np.split(want, np.cumsum(self.SCALES)[:-1])
+            assert [v for _, v in sums] == [float(np.sum(d ** (m.beta * 1.3))) for d in parts]
+
+
+def _oracle_functionals(spec: NormSpec, dim: int) -> np.ndarray:
+    """Rows f with N(v) = max_f |f . v|: the weighted coordinates for the
+    max norm and in one dimension, the weighted sign vectors with a first
+    sign + for l1."""
+    w = np.ones(dim) if spec.weights is None else np.asarray(spec.weights)
+    if dim == 1 or spec.p == math.inf:
+        return np.diag(w)
+    return np.array([(1.0, *s) for s in itertools.product((1.0, -1.0), repeat=dim - 1)]) * w
+
+
+def _oracle_spread(P: np.ndarray, blocks, spec: NormSpec) -> np.ndarray:
+    """Block by block: centre on the block's first sample, take each term
+    f_c v_c elementwise and add the terms in coordinate order; the largest
+    max - min over the functionals (16 at a time, to bound the memory)."""
+    F = _oracle_functionals(spec, len(P))
+    out = np.zeros(len(blocks))
+    for k, b in enumerate(blocks):
+        if b.size < 2:
+            continue
+        Q = P[:, b] - P[:, b[:1]]
+        for G in np.split(F, range(16, len(F), 16)):
+            V = G[:, :1] * Q[0]
+            for c in range(1, len(P)):
+                V = V + G[:, c : c + 1] * Q[c]
+            out[k] = max(out[k], float((V.max(axis=1) - V.min(axis=1)).max()))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform_blocks(n: int, s: int):
+    return _oracle_blocks(np.linspace(0.0, 1.0, n), s)
+
+
+class TestFunctionalSpread:
+    """Covering diameters under l1, the max norm and in one dimension,
+    against a block-by-block oracle, bit for bit."""
+
+    @staticmethod
+    def _spec(kind: str, dim: int) -> NormSpec:
+        weights = tuple(np.random.default_rng(dim).uniform(0.5, 2.0, dim))
+        return {"l1": NormSpec(1.0), "weighted l1": NormSpec(1.0, weights),
+                "max": NormSpec(math.inf, weights)}[kind]
+
+    # on 4^6 + 1 uniform samples, neighbours at 4^j scales share a sample and
+    # at 3^j scales share none, and scale 5000 has empty and one-sample
+    # blocks; on 4^8 + 1, scales 1 and 2 have blocks longer than _CHUNK
+    LAYOUTS = {"small": (4 ** 6 + 1, [4, 16, 64, 256, 1024, 3, 9, 27, 81, 243, 729, 5000]),
+               "long": (4 ** 8 + 1, [1, 2, 3])}
+
+    @pytest.mark.parametrize("layout", ["small", "long"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    @pytest.mark.parametrize("kind", ["l1", "weighted l1", "max"])
+    def test_every_scale_at_once_matches_the_oracle(self, layout, dim, kind):
+        n, scales = self.LAYOUTS[layout]
+        P = np.cumsum(np.random.default_rng(dim).normal(size=(dim, n)), axis=1)
+        spec = self._spec(kind, dim)
+        blocks = [b for s in scales for b in _uniform_blocks(n, s)]
+        lo, hi = _block_ends(blocks)
+        np.testing.assert_array_equal(_block_diameters(P, lo, hi, spec),
+                                      _oracle_spread(P, blocks, spec))
+
+    def test_layouts_cover_shared_samples_short_and_long_blocks(self):
+        n, scales = self.LAYOUTS["small"]
+        for s, shared in ((4, True), (1024, True), (3, False), (729, False)):
+            lo, hi = _block_ends(_uniform_blocks(n, s))
+            assert np.all(lo[1:] == hi[:-1] - 1) == shared
+            assert np.all(lo[1:] == hi[:-1]) != shared
+        assert {b.size for b in _uniform_blocks(n, 5000)} == {0, 1}
+        n, scales = self.LAYOUTS["long"]
+        assert {b.size for b in _uniform_blocks(n, 2)} == {_CHUNK + 1}
+
+    def test_a_spike_next_to_the_cut_of_a_long_block_counts(self):
+        # a block just over _CHUNK samples is cut in two near its middle:
+        # a spike at every offset around the middle reaches its diameter
+        n = _CHUNK + 2
+        P = np.zeros((1, 2 * n))
+        P[0, n] = 1.0
+        lo = n - n // 2 + np.arange(-40, 41)
+        np.testing.assert_array_equal(_block_diameters(P, lo, lo + n, NormSpec(1.0)),
+                                      np.ones(len(lo)))
+
+    @pytest.mark.parametrize("dim, weighted", [(2, True), (3, True), (8, True), (8, False)])
+    def test_a_block_alone_has_the_bits_it_has_with_its_scale(self, dim, weighted):
+        # a product f @ Q rounds a column by the offset and length of its
+        # slice; elementwise functionals do not
+        rng = np.random.default_rng(0)
+        P = np.cumsum(rng.normal(size=(dim, 20_001)), axis=1)
+        weights = ((0.7, 1.9) if dim == 2 else tuple(rng.uniform(0.5, 2.0, dim))) if weighted else None
+        spec = NormSpec(1.0, weights)
+        for s in (7, 50, 333):
+            lo, hi = _block_ends(_uniform_blocks(20_001, s))
+            alone = [_block_diameters(P, lo[k : k + 1], hi[k : k + 1], spec)[0] for k in range(s)]
+            np.testing.assert_array_equal(_block_diameters(P, lo, hi, spec), alone)
 
 
 class TestKochGenerator:
