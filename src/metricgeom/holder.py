@@ -318,7 +318,7 @@ class _PairSearch:
         block = np.repeat(np.arange(len(count)), nodes)
         self.levels = [(A, R, block, None)]
         flat = L.reshape(len(L), -1)
-        lead = last = np.arange(len(leaf))  # each node's first and last leaf node
+        lead = last = leaf  # each node's first and last leaf
         while nodes.max() > 1:
             parents = -(-nodes // _FANOUT)
             k = _concat_ranges(np.zeros_like(parents), parents)  # parent k of its block
@@ -326,8 +326,8 @@ class _PairSearch:
             kids = np.minimum(_FANOUT, np.repeat(nodes, parents) - k * _FANOUT)
             mid = lead[np.minimum(first + _FANOUT // 2, len(lead) - 1)]
             lead, last = lead[first], last[first + kids - 1]
-            AP = flat.take(np.where(kids > _FANOUT // 2, leaf[mid] * _LEAF,
-                                    leaf[last] * _LEAF + _LEAF - 1), axis=1)
+            AP = flat.take(np.where(kids > _FANOUT // 2, mid * _LEAF, last * _LEAF + _LEAF - 1),
+                           axis=1)
             D = A - AP.take(np.repeat(np.arange(len(first)), kids), axis=1)
             reach = np.array([_norm(N, D[rows]) for rows, N in spaces]) + R
             R = np.maximum.reduceat(reach, first, axis=1) * (1.0 + _SLACK)
@@ -605,9 +605,8 @@ def check_order_gt1_constant(
     precondition_ok = worst <= tol
 
     bound = _collapse_bound(C, float(h.max()), alpha - 1.0, span)
-    P = Y.T
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        diam = _block_diameters(P, np.zeros(1, dtype=np.intp), np.full(1, len(Y)), d2.norm)
+        diam = _block_diameters(Y.T, np.zeros(1, dtype=np.intp), np.full(1, len(Y)), d2.norm)
     spread = _finite_result(float((diam ** d2.beta)[0]), "range diameter")
     collapses = spread <= bound + tol * max(1.0, bound)
     return OrderCollapseReport(precondition_ok, collapses, spread, bound, worst)
@@ -656,10 +655,9 @@ def hausdorff_covering_sum(
     _check_dim(c, m)
     if len(c) < 2:
         return [(s, 0.0) for s in scale_list]
-    P = c.points.T
     lo, hi = (np.concatenate(ends) for ends in zip(*(_block_bounds(c.params, s) for s in scale_list)))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        diam = _block_diameters(P, lo, hi, m.norm)
+        diam = _block_diameters(c.points.T, lo, hi, m.norm)
         totals = [float(np.sum(d ** (m.beta * alpha)))
                   for d in np.split(diam, np.cumsum(scale_list)[:-1])]
     return [(s, _finite_result(total, "covering sum")) for s, total in zip(scale_list, totals)]
