@@ -207,8 +207,8 @@ def straightness_check(path: Polyline, m: Metric, tol: float) -> bool:
     """
     if len(path) < 3:
         raise ValueError("straightness_check needs at least 3 samples")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     x = path.points[0]
     y = path.points[-1]
     interior = path.points[1:-1]

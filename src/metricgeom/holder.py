@@ -253,17 +253,14 @@ class _PairSearch:
     blocks, possibly overlapping).  The samples of block k are the
     columns lo[k], ..., lo[k] + count[k] - 1 of ``P``, count[k] >= 1.
 
-    The leaves are runs of ``_LEAF`` samples.  Every aligned run
-    P[:, 16 n : 16 n + 16] is leaf n, taken once from a reshape of P and
-    shared by every block that holds it whole.  A block adds at most two
-    partial leaves of its own: a head leaf of the samples before its
-    first aligned run and a tail leaf of those after its last, each
-    padded to ``_LEAF`` slots with repeats of its last sample.  So a
-    block that starts at a multiple of ``_LEAF`` has the leaves of its
-    samples gathered back to back and padded at the end, and that
-    includes every fit.  ``leaves`` holds the full leaves, then the
-    partial ones, and ``leaf[n]`` is the leaf of node n on level 0: each
-    block's leaves in sample order, block after block.
+    The leaves are runs of ``_LEAF`` samples.  Level 0 holds, block
+    after block, every aligned run P[:, 16 n : 16 n + 16] that meets the
+    block, its slots clipped to the block's first and last sample.  A
+    run that needs no clipping is row n of a reshape of P, shared by
+    every block that holds it; only the clipped runs are gathered.  So a
+    fit's last leaf repeats its last sample.  ``leaves`` holds the
+    shared rows, then the clipped runs, and ``leaf[n]`` is the leaf of
+    node n on level 0.
 
     Nodes form levels: level 0, and parents of up to ``_FANOUT``
     consecutive nodes of one block on the level below, until every
@@ -295,27 +292,20 @@ class _PairSearch:
 
     def __init__(self, P: np.ndarray, lo: np.ndarray, count: np.ndarray, spaces) -> None:
         hi = lo + count
-        a = -(-lo // _LEAF) * _LEAF  # samples a, ..., b - 1 of a block are whole leaves
-        b = np.maximum(hi // _LEAF * _LEAF, a)
-        edges = np.column_stack([lo, np.minimum(a, hi), b, hi]).reshape(-1, 2, 2)
-        partial = edges[:, :, 0] < edges[:, :, 1]  # (head, tail) of each block
-        start, stop = edges[partial].T
-        slots = start[:, None] + np.minimum(np.arange(_LEAF), (stop - start - 1)[:, None])
+        nodes = (hi - 1) // _LEAF - lo // _LEAF + 1
+        block = np.repeat(np.arange(len(count)), nodes)
+        self.leaf = leaf = _concat_ranges(lo // _LEAF, nodes)  # level 0: each block's aligned runs
+        clipped = np.flatnonzero((leaf * _LEAF < lo[block]) | (leaf * _LEAF + _LEAF > hi[block]))
+        slots = np.clip(leaf[clipped, None] * _LEAF + np.arange(_LEAF),
+                        lo[block[clipped], None], hi[block[clipped], None] - 1)
         whole = P.shape[1] // _LEAF
         self.leaves = L = np.concatenate([
             P[:, : whole * _LEAF].reshape(len(P), whole, _LEAF),
             P.take(slots.ravel(), axis=1).reshape(len(P), len(slots), _LEAF)], axis=1)
+        leaf[clipped] = whole + np.arange(len(clipped))
         A0 = np.ascontiguousarray(L[:, :, _LEAF // 2])
         R0 = np.array([_norm(N, L[rows] - A0[rows, :, None]).max(axis=1) for rows, N in spaces])
-        # level 0: each block's head leaf, its aligned leaves, its tail leaf
-        nodes = partial.sum(axis=1) + (b - a) // _LEAF
-        head = np.cumsum(nodes) - nodes
-        self.leaf = leaf = _concat_ranges(a // _LEAF - partial[:, 0], nodes)
-        part_id = whole + np.cumsum(partial).reshape(-1, 2) - 1
-        leaf[head[partial[:, 0]]] = part_id[partial[:, 0], 0]
-        leaf[(head + nodes - 1)[partial[:, 1]]] = part_id[partial[:, 1], 1]
         A, R = A0.take(leaf, axis=1), R0.take(leaf, axis=1)
-        block = np.repeat(np.arange(len(count)), nodes)
         self.levels = [(A, R, block, None)]
         flat = L.reshape(len(L), -1)
         lead = last = leaf  # each node's first and last leaf
@@ -579,6 +569,8 @@ def check_order_gt1_constant(
         raise ValueError("this check requires a finite alpha > 1")
     if not 0.0 <= C < math.inf:
         raise ValueError(f"C must be a nonnegative finite real, got {C!r}")
+    if not math.isfinite(tol):  # a nan or infinite tolerance would decide the verdicts alone
+        raise ValueError(f"tol must be finite, got {tol!r}")
     x = np.asarray(domain_pts, dtype=float)
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("domain_pts must be a 1-d list of at least 2 reals")
@@ -721,15 +713,13 @@ def _block_diameters(
     """Diameters under ``norm`` of the blocks P[:, lo[k]:hi[k]], all at once.
 
     ``P`` holds the samples as the columns of a (dim, m) array, such as
-    the transpose of a row-major point array.  The functional spreads
-    read it in slices; the pair scans first make it C-contiguous.  Callers
-    set ``np.errstate`` for overflow and report a non-finite diameter
-    themselves.  The pair scans hand their differences to
-    ``norms._norm`` in that layout, so every norm runs as a few
-    whole-row vector operations.  Blocks may share samples and may come
-    from many scales: all blocks longer than ``_LAG_SCAN_MAX`` samples
-    go to one pair search, whose aligned leaves they share.  A block
-    with fewer than 2 samples has diameter 0.
+    the transpose of a row-major point array; the pair scans make it
+    C-contiguous and hand their differences to ``norms._norm`` in that
+    layout.  Callers set ``np.errstate`` for overflow and report a
+    non-finite diameter themselves.  Blocks may share samples and may
+    come from many scales; all blocks longer than ``_LAG_SCAN_MAX``
+    samples go to one pair search.  A block with fewer than 2 samples
+    has diameter 0.
     """
     diam = np.zeros(len(lo))
     count = hi - lo
@@ -755,7 +745,7 @@ def _block_diameters(
 class _DiameterScan(_PairSearch):
     """Branch-and-bound for the largest N(p_i - p_j) inside each of many blocks.
 
-    A ``_PairSearch`` over the blocks with one space, whose padded
+    A ``_PairSearch`` over the blocks with one space, whose clipped
     slots change no diameter; a node pair's bound is the search's upper
     bound, padded by ``_SLACK``.  The anchors are samples, so every
     N(a_I - a_J) is a real pair distance of the block and raises its
@@ -829,26 +819,23 @@ def _functional_spread(
     from 0.  The blocks are cut into near-equal pieces of at most
     ``_CHUNK`` samples, and runs of pieces that follow one another in P
     are centred straight from slices of P, about ``_CHUNK`` samples at a
-    time.  Where a piece's last sample is the next piece's first, as
-    with neighbouring blocks of a closed cover, the slice gives it to
-    the next piece, whose block it starts, and it joins the extremes of
-    the first piece apart.
+    time.  A sample that two pieces share, as neighbouring blocks of a
+    closed cover do, is read once, by the earlier piece; every piece's
+    extremes then take in 0.0, the exact value of its block's first
+    sample.
     """
     cuts = -(-count // _CHUNK)
     owner = np.repeat(np.arange(len(lo)), cuts)
     k = _concat_ranges(np.zeros_like(cuts), cuts)
     start = lo[owner] + count[owner] * k // cuts[owner]
     stop = lo[owner] + count[owner] * (k + 1) // cuts[owner]
-    gap = start[1:] - stop[:-1]
-    ends = np.flatnonzero((gap > 0) | (gap < -1)
+    start[1:] += start[1:] == stop[:-1] - 1  # a shared sample is read by the earlier piece
+    ends = np.flatnonzero((start[1:] != stop[:-1])
                           | (np.diff(np.cumsum(stop - start) // _CHUNK) != 0)) + 1
-    shared = np.append(gap == -1, False)
-    shared[ends - 1] = False
-    own = stop - start - shared  # the samples each piece takes from its run's slice
     centre = P[:, lo[owner]]
     tops, bottoms = [], []  # per run, one row per functional
     for i, j in zip(np.append(0, ends), np.append(ends, len(start))):
-        Q = np.repeat(centre[:, i:j], own[i:j], axis=1)
+        Q = np.repeat(centre[:, i:j], (stop - start)[i:j], axis=1)
         np.subtract(P[:, start[i] : stop[j - 1]], Q, out=Q)
         at = start[i:j] - start[i]
         tops.append([])
@@ -856,11 +843,8 @@ def _functional_spread(
         for v in _functional_values(norm, Q):
             tops[-1].append(np.maximum.reduceat(v, at))
             bottoms[-1].append(np.minimum.reduceat(v, at))
-    top, bottom = np.hstack(tops), np.hstack(bottoms)
-    at = np.flatnonzero(shared)
-    values = np.array(list(_functional_values(norm, P[:, stop[at] - 1] - centre[:, at])))
-    top[:, at] = np.maximum(top[:, at], values)
-    bottom[:, at] = np.minimum(bottom[:, at], values)
+    # 0.0 is the exact value of every block's first sample, whichever piece reads it
+    top, bottom = np.maximum(np.hstack(tops), 0.0), np.minimum(np.hstack(bottoms), 0.0)
     first = np.cumsum(cuts) - cuts
     spread = np.maximum.reduceat(top, first, axis=1) - np.minimum.reduceat(bottom, first, axis=1)
     best = np.zeros(len(lo))

@@ -292,6 +292,13 @@ class TestStraightness:
         with pytest.raises(ValueError):
             straightness_check(Polyline([0.0, 1.0], [[0.0], [1.0]]), L2, 1e-9)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        # a detour through (5, 5) is far from straight; an infinite tolerance would pass it
+        detour = Polyline([0.0, 1.0, 2.0], [[0.0, 0.0], [5.0, 5.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            straightness_check(detour, L2, tol)
+
 
 class TestMaxNormFamily:
     def test_flat_graph_is_the_segment(self):

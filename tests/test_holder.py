@@ -755,6 +755,14 @@ class TestOrderAboveOneCollapse:
         with pytest.raises(ValueError):
             check_order_gt1_constant(np.array([0.0, 1.0]), np.zeros((2, 1)), L1, 2.0, C)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        # on x -> (x, x) at alpha 2 and C 0.1 both verdicts are False; an
+        # infinite tolerance turned both True
+        x = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            check_order_gt1_constant(x, np.column_stack([x, x]), L2, alpha=2.0, C=0.1, tol=tol)
+
 
 class TestCoveringSums:
     def test_unit_segment_alpha_one(self):
@@ -970,14 +978,12 @@ class TestBlockDiameterOracle:
 
 
 def _leaf_runs(lo: int, count: int) -> list[np.ndarray]:
-    """The slots of a block's leaves: its samples cut at every multiple of
-    _LEAF, each run padded to _LEAF slots with repeats of its last sample."""
-    runs, a = [], lo
-    while a < lo + count:
-        b = min((a // _LEAF + 1) * _LEAF, lo + count)
-        runs.append(np.minimum(np.arange(a, a + _LEAF), b - 1))
-        a = b
-    return runs
+    """The slots of a block's leaves: every aligned run of _LEAF samples
+    that meets the block, each slot clipped to the block's first and last
+    sample."""
+    last = lo + count - 1
+    return [np.array([min(max(i, lo), last) for i in range(a, a + _LEAF)])
+            for a in range(lo - lo % _LEAF, last + 1, _LEAF)]
 
 
 class TestPairSearchTree:
@@ -997,7 +1003,7 @@ class TestPairSearchTree:
         P = np.cumsum(np.random.default_rng(6).normal(size=(3, sum(self.BLOCKS))), axis=1)
         scan = _DiameterScan(P, lo, count, NormSpec(p, weights))
         # each block's leaves, back to back: one leaf per aligned run of
-        # _LEAF samples, and a padded partial leaf at either end
+        # _LEAF samples, those at either end clipped to the block
         runs = [_leaf_runs(a, k) for a, k in zip(lo, count)]
         slot_of = np.concatenate([np.concatenate(r) for r in runs])
         G = P[:, slot_of]
