@@ -16,11 +16,12 @@ import numpy as np
 
 from .curves import Polyline, length, lipschitz_estimate
 from .geodesic import GeodesicProblem, solve
-from .holder import covering_resolution, fit_holder, hausdorff_covering_sum
+from .holder import _scale_list, covering_resolution, fit_holder, hausdorff_covering_sum
 from .metrics import Metric, check_metric_axioms, norm_metric, snowflake
 from .norms import (
     DimensionMismatch,
     NormSpec,
+    as_vector,
     check_norm_axioms,
     check_unit_ball_convexity,
     eval_norm,
@@ -56,15 +57,12 @@ def parse_metric_spec(spec: str) -> Metric:
     tokens = spec.split(":")
     if len(tokens) < 2 or tokens[0] != "lp":
         raise MetricSpecError(f"metric spec {spec!r}: token 0: expected 'lp:<p>'")
-    if tokens[1] == "inf":
-        p = math.inf
-    else:
-        try:
-            p = float(tokens[1])
-        except ValueError:
-            raise MetricSpecError(
-                f"metric spec {spec!r}: token 1: {tokens[1]!r} is not a number or 'inf'"
-            ) from None
+    try:
+        p = float(tokens[1])
+    except ValueError:
+        raise MetricSpecError(
+            f"metric spec {spec!r}: token 1: {tokens[1]!r} is not a number or 'inf'"
+        ) from None
     try:
         m = norm_metric(NormSpec(p))
     except ValueError as exc:
@@ -204,22 +202,16 @@ def _curve_from_csv(path: str) -> tuple[Polyline, None]:
 
 def _parse_coords(text: str) -> np.ndarray:
     try:
-        coords = np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise CliArgumentError(f"coordinates {text!r}: expected comma-separated reals") from None
-    if not np.all(np.isfinite(coords)):
-        raise CliArgumentError(f"coordinates {text!r}: expected finite reals")
-    return coords
+        return as_vector([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise CliArgumentError(f"coordinates {text!r}: {exc}") from None
 
 
 def _parse_scales(text: str) -> list[int]:
     try:
-        scales = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise CliArgumentError(f"scales {text!r}: expected comma-separated ints") from None
-    if any(s < 1 for s in scales):
-        raise CliArgumentError(f"scales {text!r}: expected positive ints")
-    return scales
+        return _scale_list([int(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise CliArgumentError(f"scales {text!r}: {exc}") from None
 
 
 def _emit(obj) -> None:
@@ -281,10 +273,6 @@ def cmd_reparam(args) -> int:
 def cmd_holder(args) -> int:
     dom, _ = load_curve(args.domain)
     rng_curve, _ = load_curve(args.range)
-    if len(dom) != len(rng_curve):
-        raise DimensionMismatch(
-            f"domain has {len(dom)} samples, range has {len(rng_curve)}"
-        )
     d1 = parse_metric_spec(args.d1)
     d2 = parse_metric_spec(args.d2)
     fit = fit_holder(

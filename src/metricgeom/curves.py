@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import Metric, _dist
-from .norms import DimensionMismatch, _finite_result
+from .norms import _check_dim, _finite_result, _points, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,20 +24,10 @@ class Polyline:
     points: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.params, dtype=float)
-        P = np.asarray(self.points, dtype=float)
-        if P.ndim == 1:
-            P = P[:, None]
-        if t.ndim != 1 or P.ndim != 2:
-            raise ValueError("params must be 1-d and points 2-d")
-        if len(t) != len(P) or len(t) < 1:
-            raise ValueError(
-                f"need equally many params and points (>= 1), got {len(t)} and {len(P)}"
-            )
-        if P.shape[1] < 1:
-            raise ValueError("points need at least one coordinate")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(P))):
-            raise ValueError("params and points must be finite")
+        t = as_vector(self.params)
+        P = _points(self.points)
+        if len(t) != len(P):
+            raise ValueError(f"need equally many params and points, got {len(t)} and {len(P)}")
         if len(t) > 1 and not np.all(np.diff(t) > 0.0):
             raise ValueError("params must be strictly increasing")
         t = t.copy()
@@ -66,18 +56,13 @@ class Polyline:
         return float(self.params[0]), float(self.params[-1])
 
 
-def _check_dim(c: Polyline, m: Metric) -> None:
-    if m.dim is not None and c.dim != m.dim:
-        raise DimensionMismatch(f"metric has dimension {m.dim}, curve has {c.dim}")
-
-
 def length(c: Polyline, m: Metric) -> float:
     """Partition-sum length: the sum of distances between adjacent samples.
 
     A single-point curve has length 0 (empty sum).  A length beyond the
     float range raises ``ValueError``.
     """
-    _check_dim(c, m)
+    _check_dim(m.dim, c.dim)
     if len(c) < 2:
         return 0.0
     return _finite_result(float(np.sum(_steps(m, c.points))), "length")
@@ -94,7 +79,7 @@ def lipschitz_estimate(c: Polyline, m: Metric) -> float:
     the largest adjacent ratio (up to rounding in the distances).  An
     estimate beyond the float range raises ``ValueError``.
     """
-    _check_dim(c, m)
+    _check_dim(m.dim, c.dim)
     if len(c) < 2:
         raise ValueError("lipschitz_estimate needs at least 2 samples")
     ratio = float((_steps(m, c.points) / np.diff(c.params)).max())
@@ -128,8 +113,7 @@ def glue(c1: Polyline, c2: Polyline, snap_tol: float | None = None) -> Polyline:
     nonnegative real), mismatches up to that size are allowed and the junction is snapped to c1's
     endpoint; the default refuses rather than silently corrupting curves.
     """
-    if c1.dim != c2.dim:
-        raise DimensionMismatch(f"curves have dimensions {c1.dim} and {c2.dim}")
+    _check_dim(c1.dim, c2.dim)
     if snap_tol is not None and not (math.isfinite(snap_tol) and snap_tol >= 0.0):
         raise ValueError(f"snap_tol must be a finite nonnegative real, got {snap_tol!r}")
     t_gap = abs(c2.params[0] - c1.params[-1])

@@ -48,7 +48,7 @@ import numpy as np
 
 from .curves import Polyline
 from .metrics import Metric, _dist
-from .norms import DimensionMismatch, as_vector
+from .norms import _check_dim, as_vector
 
 @dataclass(frozen=True, eq=False)
 class GeodesicProblem:
@@ -69,12 +69,8 @@ class GeodesicProblem:
     initial_path: Polyline | None = None
 
     def __post_init__(self):
-        s = as_vector(self.start)
+        s = as_vector(self.start, dim=self.metric.dim)
         e = as_vector(self.end, dim=s.size)
-        if self.metric.dim is not None and s.size != self.metric.dim:
-            raise DimensionMismatch(
-                f"metric has dimension {self.metric.dim}, endpoints have {s.size}"
-            )
         object.__setattr__(self, "start", s)
         object.__setattr__(self, "end", e)
         if self.segment_count < 1:
@@ -85,8 +81,9 @@ class GeodesicProblem:
             raise ValueError("max_iters must be at least 1")
         if self.initial_path is not None:
             p = self.initial_path
-            if len(p) != self.segment_count + 1 or p.dim != s.size:
-                raise ValueError("initial_path does not match the grid or dimension")
+            _check_dim(s.size, p.dim)
+            if len(p) != self.segment_count + 1:
+                raise ValueError("initial_path does not match the grid")
             grid = np.linspace(0.0, 1.0, self.segment_count + 1)
             if not np.allclose(p.params, grid, atol=1e-12):
                 raise ValueError("initial_path must use the uniform grid on [0, 1]")
@@ -209,6 +206,7 @@ def straightness_check(path: Polyline, m: Metric, tol: float) -> bool:
         raise ValueError("straightness_check needs at least 3 samples")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_dim(m.dim, path.dim)
     x = path.points[0]
     y = path.points[-1]
     interior = path.points[1:-1]
@@ -224,11 +222,9 @@ def linfty_geodesic_family(phi_samples) -> Polyline:
     connects (0, 0) to (1, 0) with max-norm Lipschitz estimate 1, giving
     a large family of distinct minimizers for the max norm.
     """
-    phi = np.asarray(phi_samples, dtype=float)
-    if phi.ndim != 1 or len(phi) < 2:
-        raise ValueError("need a 1-d list of at least 2 samples")
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phi samples must be finite")
+    phi = as_vector(phi_samples)
+    if len(phi) < 2:
+        raise ValueError("need at least 2 samples of phi")
     if phi[0] != 0.0 or phi[-1] != 0.0:
         raise ValueError("phi must vanish at both ends")
     t = np.linspace(0.0, 1.0, len(phi))

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _STEP_CHUNK, Polyline, _check_dim, _steps
+from .curves import _STEP_CHUNK, Polyline, _steps
 from .metrics import Metric, _dist
-from .norms import DimensionMismatch, NormSpec, _finite_result, _norm
+from .norms import (DimensionMismatch, NormSpec, _check_dim, _finite_result, _norm, _points,
+                    as_vector)
 
 
 @dataclass(frozen=True)
@@ -22,10 +23,11 @@ class LipBound:
     alpha: float
 
     def __post_init__(self):
-        if not self.C >= 0.0:
-            raise ValueError("constant C must be nonnegative")
-        if not self.alpha > 0.0:
-            raise ValueError("order alpha must be positive")
+        # an overflowing bound arrives here as C = inf and is refused
+        if not 0.0 <= self.C < math.inf:
+            raise ValueError(f"constant C must be a finite nonnegative real, got {self.C!r}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"order alpha must be a positive finite real, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,11 @@ def lip_compose(outer: LipBound, inner: LipBound) -> LipBound:
     general rule follows by feeding the inner bound through the outer
     one.
     """
-    return LipBound(outer.C * inner.C ** outer.alpha, outer.alpha * inner.alpha)
+    try:
+        C = outer.C * inner.C ** outer.alpha
+    except OverflowError:
+        C = math.inf  # refused by LipBound, like any other overflow
+    return LipBound(C, outer.alpha * inner.alpha)
 
 
 def _require_equal_alpha(b1: LipBound, b2: LipBound, op: str) -> None:
@@ -151,10 +157,12 @@ def fit_holder(
     is not Holder of any order and the fit reports C = inf with that pair
     as witness.
     """
-    X = _as_points(domain_pts)
-    Y = _as_points(range_pts)
+    X = _points(domain_pts)
+    Y = _points(range_pts)
     if len(X) != len(Y):
         raise DimensionMismatch(f"got {len(X)} domain and {len(Y)} range points")
+    _check_dim(d1.dim, X.shape[1])
+    _check_dim(d2.dim, Y.shape[1])
     count = len(X)
     if count < 2:
         raise ValueError("need at least 2 samples to fit")
@@ -571,14 +579,13 @@ def check_order_gt1_constant(
         raise ValueError(f"C must be a nonnegative finite real, got {C!r}")
     if not math.isfinite(tol):  # a nan or infinite tolerance would decide the verdicts alone
         raise ValueError(f"tol must be finite, got {tol!r}")
-    x = np.asarray(domain_pts, dtype=float)
-    if x.ndim != 1 or len(x) < 2:
-        raise ValueError("domain_pts must be a 1-d list of at least 2 reals")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("domain_pts must be finite")
-    Y = _as_points(range_pts)
+    x = as_vector(domain_pts)
+    if len(x) < 2:
+        raise ValueError("domain_pts must hold at least 2 reals")
+    Y = _points(range_pts)
     if len(Y) != len(x):
         raise DimensionMismatch(f"got {len(x)} domain and {len(Y)} range points")
+    _check_dim(d2.dim, Y.shape[1])
     order = np.argsort(x, kind="stable")
     x = x[order]
     Y = Y[order]
@@ -644,7 +651,7 @@ def hausdorff_covering_sum(
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
     scale_list = _scale_list(scales)
-    _check_dim(c, m)
+    _check_dim(m.dim, c.dim)
     if len(c) < 2:
         return [(s, 0.0) for s in scale_list]
     lo, hi = (np.concatenate(ends) for ends in zip(*(_block_bounds(c.params, s) for s in scale_list)))
@@ -677,10 +684,11 @@ def covering_resolution(c: Polyline, scales) -> list[tuple[int, int, int]]:
 
 
 def _scale_list(scales) -> list[int]:
-    scale_list = [int(s) for s in scales]
-    if not scale_list or any(s < 1 for s in scale_list):
-        raise ValueError("scales must be a nonempty list of positive ints")
-    return scale_list
+    scale_list = list(scales)
+    # s % 1 == 0 refuses 2.5, nan and inf; 4.0 and numpy ints pass
+    if not scale_list or not all(s >= 1 and s % 1 == 0 for s in scale_list):
+        raise ValueError("scales must be a nonempty list of positive integers")
+    return [int(s) for s in scale_list]
 
 
 def _block_bounds(t: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -903,14 +911,3 @@ def koch_generator(level: int) -> Polyline:
         z = new
     params = np.linspace(0.0, 1.0, len(z))
     return Polyline(params, np.column_stack([z.real, z.imag]))
-
-
-def _as_points(pts) -> np.ndarray:
-    P = np.asarray(pts, dtype=float)
-    if P.ndim == 1:
-        P = P[:, None]
-    if P.ndim != 2 or P.shape[1] < 1:
-        raise ValueError("expected a list of points (m, n)")
-    if not np.all(np.isfinite(P)):
-        raise ValueError("points must be finite")
-    return P

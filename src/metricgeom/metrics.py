@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .norms import (
-    DimensionMismatch,
     NormSpec,
+    _check_dim,
     _finite_result,
     _norm,
     _resolve_dim,
@@ -79,14 +79,10 @@ def distance(m: Metric, x, y) -> float | np.ndarray:
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
-    if xv.ndim == 0 or yv.ndim == 0:
+    if xv.ndim == 0 or yv.ndim == 0 or xv.shape[-1] == 0:
         raise ValueError("points must have at least one coordinate")
-    if xv.shape[-1] != yv.shape[-1]:
-        raise DimensionMismatch(
-            f"points have dimensions {xv.shape[-1]} and {yv.shape[-1]}"
-        )
-    if m.dim is not None and xv.shape[-1] != m.dim:
-        raise DimensionMismatch(f"metric has dimension {m.dim}, points have {xv.shape[-1]}")
+    _check_dim(xv.shape[-1], yv.shape[-1])
+    _check_dim(m.dim, xv.shape[-1])
     if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
         raise ValueError("points have non-finite coordinates")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
@@ -158,7 +154,8 @@ def check_metric_axioms(
     symmetry = margin_report("symmetry", sym_margin, tol)
 
     distinct = np.any(X != Y, axis=1)
-    id_viol = int(np.count_nonzero((dxx != 0.0) | (distinct & (dxy <= 0.0))))
+    # ~(dxy > 0), not dxy <= 0: a nan distance is a violation
+    id_viol = int(np.count_nonzero((dxx != 0.0) | (distinct & ~(dxy > 0.0))))
     id_worst = float(np.max(np.maximum(np.abs(dxx), np.where(distinct, -dxy, -np.inf))))
     identity = CheckReport("identity", sample_count, id_viol, id_worst, tol)
 
@@ -183,12 +180,10 @@ def ball_containment_check(
     Checks the transport of both open and closed balls; the closed-ball
     sample set deliberately includes exact boundary points d(p, z) = r.
     """
-    if not r > 0.0:
-        raise ValueError("radius must be positive")
-    pv = as_vector(p)
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {r!r}")
+    pv = as_vector(p, dim=m.dim)
     qv = as_vector(q, dim=pv.size)
-    if m.dim is not None and pv.size != m.dim:
-        raise DimensionMismatch(f"metric has dimension {m.dim}, points have {pv.size}")
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
 
@@ -199,19 +194,19 @@ def ball_containment_check(
     base_norm = np.where(base_norm > 0.0, base_norm, 1.0)
     dirs = dirs / base_norm[:, None]
     # radius r in the metric means radius r^(1/beta) in the underlying norm
-    r_base = r ** (1.0 / m.beta)
-    dpq = float(_dist(m, pv - qv))
-    bound = r + dpq
-
+    try:
+        r_base = float(r) ** (1.0 / m.beta)
+    except OverflowError:
+        raise ValueError(f"radius {r!r} is beyond the float range in the norm") from None
     u_open = rng.uniform(0.0, 1.0, sample_count)  # in [0, 1): strictly inside
-    z_open = pv + (r_base * u_open)[:, None] * dirs
-    open_margin = (_dist(m, (qv - z_open).T) - bound) / max(1.0, bound)
-    open_check = margin_report("open_ball_transport", open_margin, tol)
-
     u_closed = u_open.copy()
     u_closed[: max(1, sample_count // 8)] = 1.0
-    z_closed = pv + (r_base * u_closed)[:, None] * dirs
-    closed_margin = (_dist(m, (qv - z_closed).T) - bound) / max(1.0, bound)
-    closed_check = margin_report("closed_ball_transport", closed_margin, tol)
 
-    return AxiomReport((closed_check, open_check))
+    checks = []
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        bound = r + float(_dist(m, pv - qv))
+        for name, u in (("closed_ball_transport", u_closed), ("open_ball_transport", u_open)):
+            z = pv + (r_base * u)[:, None] * dirs
+            margin = (_dist(m, (qv - z).T) - bound) / max(1.0, bound)
+            checks.append(margin_report(name, _finite_result(margin, "transport margin"), tol))
+    return AxiomReport(tuple(checks))

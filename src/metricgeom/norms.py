@@ -19,19 +19,41 @@ class DimensionMismatch(ValueError):
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Validate a point of R^n and return it as a float array.
+    """Validate a point of R^n (or any nonempty list of reals) and return
+    it as a float array.
 
     Rejects empty, non-1-d and non-finite input, and (when ``dim`` is
-    given) wrong-length input.
+    given) wrong-length input with ``DimensionMismatch``.
     """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a 1-d point with n >= 1, got shape {v.shape}")
+        raise ValueError(f"expected a nonempty 1-d list of reals, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("point has non-finite coordinates")
-    if dim is not None and v.size != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
+        raise ValueError("expected finite reals, got a nan or inf")
+    _check_dim(dim, v.size)
     return v
+
+
+def _points(pts) -> np.ndarray:
+    """Validate m points of R^n as an (m, n) float array, n >= 1.
+
+    A 1-d input is m points of R^1.  Rejects other shapes and non-finite
+    coordinates.
+    """
+    P = np.asarray(pts, dtype=float)
+    if P.ndim == 1:
+        P = P[:, None]
+    if P.ndim != 2 or P.shape[1] < 1:
+        raise ValueError(f"expected a list of points (m, n) with n >= 1, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("points must be finite")
+    return P
+
+
+def _check_dim(dim: int | None, n: int) -> None:
+    """Raise ``DimensionMismatch`` unless ``dim`` is None or equals ``n``."""
+    if dim is not None and dim != n:
+        raise DimensionMismatch(f"expected dimension {dim}, got {n}")
 
 
 def basis(n: int, j: int) -> np.ndarray:
@@ -131,10 +153,7 @@ def eval_norm(spec: NormSpec, x) -> float | np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("expected at least one coordinate")
-    if spec.dim is not None and v.shape[-1] != spec.dim:
-        raise DimensionMismatch(
-            f"norm has dimension {spec.dim}, point has {v.shape[-1]}"
-        )
+    _check_dim(spec.dim, v.shape[-1])
     if not np.all(np.isfinite(v)):
         raise ValueError("point has non-finite coordinates")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
@@ -193,7 +212,8 @@ def check_norm_axioms(
     ny = _norm(spec, Y.T)
     nonzero = np.any(X != 0.0, axis=1)
 
-    pos_viol = int(np.count_nonzero((nonzero & (nx <= 0.0)) | (~nonzero & (nx != 0.0))))
+    # ~(nx > 0), not nx <= 0: a nan norm is a violation
+    pos_viol = int(np.count_nonzero((nonzero & ~(nx > 0.0)) | (~nonzero & (nx != 0.0))))
     pos_worst = float(np.max(np.where(nonzero, -nx, np.abs(nx))))
     positivity = CheckReport("positivity", sample_count, pos_viol, pos_worst, tol)
 
@@ -235,8 +255,7 @@ def check_unit_ball_convexity(
 
 def _resolve_dim(spec: NormSpec, dim: int | None) -> int:
     if spec.dim is not None:
-        if dim is not None and dim != spec.dim:
-            raise DimensionMismatch(f"norm has dimension {spec.dim}, requested {dim}")
+        _check_dim(dim, spec.dim)
         return spec.dim
     if dim is None:
         raise ValueError("dimension required for an unweighted norm")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Polyline
-from .norms import NormSpec, eval_norm
+from .norms import NormSpec, _points, eval_norm
 
 
 # Adjacent secant speeds of the unit-speed output must lie within this
@@ -32,16 +32,12 @@ class SampledC1Curve:
     derivs: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.derivs, dtype=float)
-        if d.ndim == 1:
-            d = d[:, None]
+        d = _points(self.derivs)
         if d.shape != self.base.points.shape:
             raise ValueError(
                 f"derivs shape {d.shape} does not match points shape "
                 f"{self.base.points.shape}"
             )
-        if not np.all(np.isfinite(d)):
-            raise ValueError("derivative samples must be finite")
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "derivs", d)

@@ -34,12 +34,13 @@ class CheckReport:
 
 
 def margin_report(name: str, margins, tol: float) -> CheckReport:
-    """Report a check whose samples pass when their margin is at most ``tol``."""
+    """Report a check whose samples pass when their margin is at most ``tol``;
+    a nan margin is a violation."""
     margins = np.asarray(margins, dtype=float)
     return CheckReport(
         name,
         margins.size,
-        int(np.count_nonzero(margins > tol)),
+        int(np.count_nonzero(~(margins <= tol))),
         float(margins.max()),
         tol,
     )

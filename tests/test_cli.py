@@ -391,6 +391,12 @@ class TestHolderCommand:
             ["holder", dom, rng, "--d1", "lp:1", "--d2", "lp:1", "--alpha", "1"]
         ) == EXIT_DIMENSION
 
+    def test_bad_metric_spec_precedes_count_mismatch(self, tmp_path):
+        # the sample counts are compared by fit_holder, after both specs parse
+        dom = write_curve(tmp_path / "d.json", [0, 1], [[0], [1]])
+        rng = write_curve(tmp_path / "r.json", [0, 1, 2], [[0], [1], [2]])
+        assert main(["holder", dom, rng, "--d1", "lp:0.5", "--d2", "lp:1"]) == EXIT_PARSE
+
 
 class TestCheckCommand:
     def test_snowflaked_euclidean_passes(self, capsys):
@@ -459,7 +465,7 @@ class TestCoveringCommand:
         assert out["blocks"] == [4, 1000]
         assert out["resolved_blocks"] == [4, 0]
 
-    @pytest.mark.parametrize("scales", ["0", "4,-3"])
+    @pytest.mark.parametrize("scales", ["0", "4,-3", "2.5", "4,x"])
     def test_nonpositive_scale_is_a_parse_error(self, tmp_path, scales):
         f = write_curve(tmp_path / "c.json", [0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
         argv = ["covering", f, "--metric", "lp:2", "--alpha", "1", "--scales", scales]

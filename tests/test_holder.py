@@ -91,6 +91,25 @@ class TestLipCalculus:
         with pytest.raises(ValueError):
             LipBound(1.0, 0.0)
 
+    @pytest.mark.parametrize("C, alpha", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
+        (math.inf, math.inf),
+    ])
+    def test_bound_must_be_finite(self, C, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            LipBound(C, alpha)
+
+    @pytest.mark.parametrize("op", [
+        lambda: lip_sum(LipBound(1e308, 1.0), LipBound(1e308, 1.0)),
+        lambda: lip_scale(LipBound(1e308, 1.0), 10.0),
+        lambda: lip_product(LipBound(1e308, 1.0), LipBound(1.0, 1.0), 1.0, 10.0),
+        lambda: lip_compose(LipBound(1.0, 2.0), LipBound(1e200, 1.0)),
+    ], ids=["sum", "scale", "product", "compose"])
+    def test_overflowing_bound_raises(self, op):
+        # an overflowing constant raises ValueError, never C = inf or OverflowError
+        with pytest.raises(ValueError, match="constant C must be a finite"):
+            op()
+
 
 class TestFitHolder:
     def test_identity_map(self):
@@ -794,6 +813,21 @@ class TestCoveringSums:
     def test_empty_scales_rejected(self):
         with pytest.raises(ValueError):
             hausdorff_covering_sum(koch_generator(1), L2, 1.0, [])
+
+    @pytest.mark.parametrize("scales", [[2.5, 4.9], [2.5], [4, math.nan], [math.inf]])
+    def test_non_integer_scales_rejected(self, scales):
+        # a non-integer scale is refused, never truncated
+        with pytest.raises(ValueError, match="positive integers"):
+            hausdorff_covering_sum(koch_generator(3), L2, 1.0, scales)
+        with pytest.raises(ValueError, match="positive integers"):
+            covering_resolution(koch_generator(3), scales)
+
+    def test_integer_valued_scales_accepted(self):
+        c = koch_generator(3)
+        scales = [4.0, np.int64(16), np.float64(3.0)]
+        assert hausdorff_covering_sum(c, L2, 1.0, scales) == \
+            hausdorff_covering_sum(c, L2, 1.0, [4, 16, 3])
+        assert covering_resolution(c, scales) == covering_resolution(c, [4, 16, 3])
 
     def test_single_point_curve(self):
         sums = hausdorff_covering_sum(Polyline([0.0], [[0.0, 0.0]]), L2, 1.0, [2])

@@ -55,6 +55,12 @@ class TestDistance:
         with pytest.raises(DimensionMismatch):
             distance(L2, [0, 0], [1, 1, 1])
 
+    @pytest.mark.parametrize("m", [L1, L2, norm_metric(NormSpec(INF))])
+    def test_points_need_a_coordinate(self, m):
+        # empty points must stop before the norm kernel, which raises IndexError under l1
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            distance(m, [], [])
+
     def test_overflowing_difference_raises(self):
         # 2e308 overflows; the norm used to come back as nan without warning
         for m in (L1, L2, snowflake(L2, 0.5), norm_metric(NormSpec(INF))):
@@ -125,6 +131,18 @@ class TestMetricAxioms:
         with pytest.raises(ValueError, match="tolerance"):
             check_metric_axioms(squared, 200, dim=2, tol=tol)
 
+    def test_nan_distances_are_violations(self):
+        # nan on every other distinct pair: no nan margin exceeds the
+        # tolerance, and each must still count as a violation
+        def every_other_nan(A, B):
+            d = np.sqrt(((A - B) ** 2).sum(-1))
+            d[1::2] = np.where(d[1::2] > 0.0, math.nan, 0.0)
+            return d
+
+        report = check_metric_axioms(every_other_nan, 100, seed=0, dim=2)
+        assert not report.passed
+        assert [c.violations for c in report] == [50, 50, 50]
+
     def test_callable_requires_dim(self):
         with pytest.raises(ValueError):
             check_metric_axioms(lambda X, Y: np.zeros(len(X)), 10, seed=0)
@@ -156,6 +174,24 @@ class TestBallContainment:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             ball_containment_check(L2, [0.0], [1.0], 0.0)
+
+    @pytest.mark.parametrize("r", [INF, math.nan])
+    def test_rejects_non_finite_radius(self, r):
+        # an infinite radius makes every margin nan
+        with pytest.raises(ValueError, match="radius"):
+            ball_containment_check(L2, [0.0, 0.0], [1.0, 1.0], r, 100)
+
+    def test_radius_beyond_the_float_range_raises(self):
+        # r^(1/beta) = 1e600 is beyond the float range
+        with pytest.raises(ValueError, match="radius"):
+            ball_containment_check(snowflake(L2, 0.5), [0.0, 0.0], [1.0, 1.0], 1e300, 100)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_overflowing_margins_raise(self, p):
+        # d(q, z) overflows: its nan margin would be a false violation
+        m = norm_metric(NormSpec(p))
+        with pytest.raises(ValueError, match="overflows the float range"):
+            ball_containment_check(m, [0.0, 0.0], [-1e308, 0.0], 1.7e308, 100)
 
     def test_bounded_set_transport(self):
         # sampled z with d(p, z) <= r always satisfies d(q, z) <= r + d(p, q)

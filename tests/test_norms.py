@@ -8,12 +8,24 @@ from hypothesis.extra.numpy import arrays
 
 from metricgeom import (
     DimensionMismatch,
+    GeodesicProblem,
     NormSpec,
+    Polyline,
+    SampledC1Curve,
+    ball_containment_check,
     basis,
     check_norm_axioms,
+    check_order_gt1_constant,
     check_unit_ball_convexity,
+    distance,
     eval_norm,
+    fit_holder,
+    hausdorff_covering_sum,
     is_strictly_convex,
+    length,
+    lipschitz_estimate,
+    norm_metric,
+    straightness_check,
 )
 from metricgeom.norms import _norm
 
@@ -303,3 +315,57 @@ class TestNormOracle:
                 else:
                     assert np.all((got == 0.0) == (want == 0.0))
                     assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4  # ulp
+
+
+W3 = norm_metric(NormSpec(2, weights=(1.0, 2.0, 3.0)))
+L2 = norm_metric(NormSpec(2))
+X = np.linspace(0.0, 1.0, 5)
+PLANE = np.column_stack([X, X])
+CURVE = Polyline(X, PLANE)
+
+
+class TestOneGate:
+    """Every entry point checks points and dimensions with the same two rules."""
+
+    # a weighted metric of dimension 3 against points of the plane
+    @pytest.mark.parametrize("call", [
+        lambda: eval_norm(W3.norm, [1.0, 2.0]),
+        lambda: distance(W3, [0.0, 0.0], [1.0, 1.0]),
+        lambda: ball_containment_check(W3, [0.0, 0.0], [1.0, 1.0], 1.0),
+        lambda: GeodesicProblem(W3, [0.0, 0.0], [1.0, 1.0]),
+        lambda: length(CURVE, W3),
+        lambda: lipschitz_estimate(CURVE, W3),
+        lambda: hausdorff_covering_sum(CURVE, W3, 1.0, [2]),
+        # these four must check before the norm kernel, which fails with a reshape error
+        lambda: fit_holder(PLANE, PLANE, W3, L2),
+        lambda: fit_holder(PLANE, PLANE, L2, W3, alpha=1.0),
+        lambda: check_order_gt1_constant(X, PLANE, W3, 2.0, 1.0),
+        lambda: straightness_check(CURVE, W3, 1e-9),
+        # a start path in R^3 between endpoints in the plane
+        lambda: GeodesicProblem(L2, [0.0, 0.0], [1.0, 1.0], segment_count=4,
+                                initial_path=Polyline(X, np.column_stack([X, X, X]))),
+    ], ids=["eval_norm", "distance", "ball_containment_check", "GeodesicProblem", "length",
+            "lipschitz_estimate", "hausdorff_covering_sum", "fit_holder_d1", "fit_holder_d2",
+            "check_order_gt1_constant", "straightness_check", "initial_path"])
+    def test_metric_of_the_wrong_dimension(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.0, 0.0], [1.0, math.nan], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0], [2.0, -INF], [3.0, 0.0], [4.0, 0.0]]),
+        np.zeros((5, 0)),
+        np.zeros((5, 2, 1)),
+    ], ids=["nan", "inf", "no coordinates", "3-d"])
+    @pytest.mark.parametrize("call", [
+        lambda P: Polyline(X, P),
+        lambda P: SampledC1Curve(CURVE, P),
+        lambda P: fit_holder(P, PLANE, L2, L2, alpha=1.0),
+        lambda P: fit_holder(PLANE, P, L2, L2, alpha=1.0),
+        lambda P: check_order_gt1_constant(X, P, L2, 2.0, 1.0),
+    ], ids=["Polyline", "SampledC1Curve", "fit_holder_domain", "fit_holder_range",
+            "check_order_gt1_constant"])
+    def test_points_must_be_finite_with_coordinates(self, call, bad):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert not isinstance(info.value, DimensionMismatch)
