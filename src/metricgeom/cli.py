@@ -1,7 +1,9 @@
 """Command-line surface: deterministic JSON reports over curve files.
 
 Exit codes: 0 success, 1 property violation found, 2 parse error,
-3 dimension or count mismatch, 4 numeric precondition failure.
+3 dimension or count mismatch, 4 numeric precondition failure.  A flag
+whose text cannot be read as its type exits 2; a value read that the
+library refuses exits 4.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ import numpy as np
 
 from .curves import Polyline, length, lipschitz_estimate
 from .geodesic import GeodesicProblem, solve
-from .holder import _scale_list, covering_resolution, fit_holder, hausdorff_covering_sum
+from .holder import covering_resolution, fit_holder, hausdorff_covering_sum
 from .metrics import Metric, check_metric_axioms, norm_metric, snowflake
 from .norms import (
     DimensionMismatch,
     NormSpec,
-    as_vector,
     check_norm_axioms,
     check_unit_ball_convexity,
     eval_norm,
@@ -42,10 +43,6 @@ class MetricSpecError(ValueError):
 
 class CurveFormatError(ValueError):
     """A curve file failed to parse or validate."""
-
-
-class CliArgumentError(ValueError):
-    """A command-line value (coordinates, scales) failed to parse or validate."""
 
 
 def parse_metric_spec(spec: str) -> Metric:
@@ -200,18 +197,13 @@ def _curve_from_csv(path: str) -> tuple[Polyline, None]:
         raise CurveFormatError(f"{path}: {exc}") from None
 
 
-def _parse_coords(text: str) -> np.ndarray:
-    try:
-        return as_vector([float(v) for v in text.split(",")])
-    except ValueError as exc:
-        raise CliArgumentError(f"coordinates {text!r}: {exc}") from None
-
-
-def _parse_scales(text: str) -> list[int]:
-    try:
-        return _scale_list([int(v) for v in text.split(",")])
-    except ValueError as exc:
-        raise CliArgumentError(f"scales {text!r}: {exc}") from None
+def _comma_list(kind: type):
+    """An argparse type for comma-separated values of ``kind``; argparse
+    exits 2 on text it cannot read, and the library checks the values."""
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def _emit(obj) -> None:
@@ -234,12 +226,10 @@ def cmd_length(args) -> int:
 
 def cmd_geodesic(args) -> int:
     metric = parse_metric_spec(args.metric)
-    start = _parse_coords(args.start)
-    end = _parse_coords(args.end)
     prob = GeodesicProblem(
         metric=metric,
-        start=start,
-        end=end,
+        start=args.start,
+        end=args.end,
         segment_count=args.segments,
         tolerance=args.tol,
         max_iters=args.max_iters,
@@ -331,9 +321,8 @@ def cmd_check(args) -> int:
 def cmd_covering(args) -> int:
     curve, _ = load_curve(args.curve)
     metric = parse_metric_spec(args.metric)
-    scales = _parse_scales(args.scales)
-    sums = hausdorff_covering_sum(curve, metric, args.alpha, scales)
-    counts = covering_resolution(curve, scales)
+    sums = hausdorff_covering_sum(curve, metric, args.alpha, args.scales)
+    counts = covering_resolution(curve, args.scales)
     _emit({
         "alpha": args.alpha,
         "sums": [{"scale": s, "sum": v} for s, v in sums],
@@ -357,8 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_length)
 
     p = sub.add_parser("geodesic", help="minimal-Lipschitz-constant path between points")
-    p.add_argument("--start", required=True, help="comma-separated coordinates")
-    p.add_argument("--end", required=True, help="comma-separated coordinates")
+    p.add_argument("--start", required=True, type=_comma_list(float),
+                   help="comma-separated coordinates")
+    p.add_argument("--end", required=True, type=_comma_list(float),
+                   help="comma-separated coordinates")
     p.add_argument("--metric", required=True)
     p.add_argument("--segments", type=int, default=16)
     p.add_argument("--tol", type=float, default=1e-9,
@@ -393,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curve")
     p.add_argument("--metric", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--scales", required=True, help="comma-separated block counts")
+    p.add_argument("--scales", required=True, type=_comma_list(int),
+                   help="comma-separated block counts")
     p.set_defaults(func=cmd_covering)
 
     return parser
@@ -407,7 +399,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (MetricSpecError, CurveFormatError, CliArgumentError) as exc:
+    except (MetricSpecError, CurveFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DimensionMismatch as exc:

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .metrics import Metric, _dist
-from .norms import _check_dim, _finite_result, _points, as_vector
+from .norms import _by_rows, _check_dim, _finite_result, _points, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,23 +87,13 @@ def lipschitz_estimate(c: Polyline, m: Metric) -> float:
     return _finite_result(ratio, "Lipschitz estimate")
 
 
-# Steps per _dist call in _steps: small enough that every temporary is
-# reused from the heap instead of being mapped and page-faulted afresh.
-_STEP_CHUNK = 1 << 13
-
-
 def _steps(m: Metric, P: np.ndarray) -> np.ndarray:
-    """The distances d(P[i + 1], P[i]), computed a chunk of rows at a time.
+    """The distances d(P[i + 1], P[i]).
 
     A step whose difference overflows comes back inf or nan without a
     warning; callers check their results instead.
     """
-    out = np.empty(len(P) - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, len(out), _STEP_CHUNK):
-            b = min(a + _STEP_CHUNK, len(out))
-            out[a:b] = _dist(m, (P[a + 1 : b + 1] - P[a:b]).T)
-    return out
+    return _by_rows(partial(_dist, m), P[1:], P[:-1])
 
 
 def glue(c1: Polyline, c2: Polyline, snap_tol: float | None = None) -> Polyline:

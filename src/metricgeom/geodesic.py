@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .curves import Polyline
 from .metrics import Metric, _dist
-from .norms import _check_dim, as_vector
+from .norms import _by_rows, _check_dim, as_vector
 
 @dataclass(frozen=True, eq=False)
 class GeodesicProblem:
@@ -210,7 +211,8 @@ def straightness_check(path: Polyline, m: Metric, tol: float) -> bool:
     x = path.points[0]
     y = path.points[-1]
     interior = path.points[1:-1]
-    total = _dist(m, (interior - x).T) + _dist(m, (interior - y).T)
+    dist = partial(_dist, m)
+    total = _by_rows(dist, interior, x) + _by_rows(dist, interior, y)
     return bool(np.all(total <= float(_dist(m, x - y)) + tol))
 
 

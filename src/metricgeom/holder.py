@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _STEP_CHUNK, Polyline, _steps
+from .curves import Polyline, _steps
 from .metrics import Metric, _dist
-from .norms import (DimensionMismatch, NormSpec, _check_dim, _finite_result, _norm, _points,
-                    as_vector)
+from .norms import (_CHUNK_ROWS, DimensionMismatch, NormSpec, _check_dim, _finite_result, _norm,
+                    _points, as_vector)
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,8 @@ def _regression_logs(
     XT = np.ascontiguousarray(X.T)
     YT = np.ascontiguousarray(Y.T)
     logs1, logs2 = [], []
-    for a in range(0, len(ii), _STEP_CHUNK):  # chunks keep every temporary in cache
-        i, j = ii[a : a + _STEP_CHUNK], jj[a : a + _STEP_CHUNK]
+    for a in range(0, len(ii), _CHUNK_ROWS):  # chunks keep every temporary in cache
+        i, j = ii[a : a + _CHUNK_ROWS], jj[a : a + _CHUNK_ROWS]
         with np.errstate(over="ignore", invalid="ignore"):  # such pairs are left out below
             D1 = _dist(d1, _diffs(XT, i, j))
             D2 = _dist(d2, _diffs(YT, i, j))

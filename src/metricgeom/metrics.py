@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .norms import (
     NormSpec,
+    _by_rows,
     _check_dim,
     _finite_result,
     _norm,
@@ -85,9 +87,9 @@ def distance(m: Metric, x, y) -> float | np.ndarray:
     _check_dim(m.dim, xv.shape[-1])
     if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
         raise ValueError("points have non-finite coordinates")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        out = _dist(m, (xv - yv).T).T
-    return _finite_result(out, "distance")
+    shape = np.broadcast_shapes(xv.shape, yv.shape)
+    X, Y = (np.broadcast_to(v, shape).reshape(-1, shape[-1]) for v in (xv, yv))
+    return _finite_result(_by_rows(partial(_dist, m), X, Y).reshape(shape[:-1]), "distance")
 
 
 def snowflake_order_transfer(alpha: float, beta: float, mode: str = "domain") -> float:
@@ -130,7 +132,7 @@ def check_metric_axioms(
         raise ValueError("sample_count must be at least 1")
     if isinstance(m, Metric):
         n = _resolve_dim(m.norm, dim)
-        dist = lambda A, B: _dist(m, (A - B).T)  # noqa: E731
+        dist = partial(_by_rows, partial(_dist, m))
     elif callable(m):
         if dim is None:
             raise ValueError("dimension required for a raw distance function")
@@ -190,7 +192,7 @@ def ball_containment_check(
     rng = np.random.default_rng(seed)
     n = pv.size
     dirs = rng.standard_normal((sample_count, n))
-    base_norm = _norm(m.norm, dirs.T)
+    base_norm = _by_rows(partial(_norm, m.norm), dirs)
     base_norm = np.where(base_norm > 0.0, base_norm, 1.0)
     dirs = dirs / base_norm[:, None]
     # radius r in the metric means radius r^(1/beta) in the underlying norm
@@ -207,6 +209,6 @@ def ball_containment_check(
         bound = r + float(_dist(m, pv - qv))
         for name, u in (("closed_ball_transport", u_closed), ("open_ball_transport", u_open)):
             z = pv + (r_base * u)[:, None] * dirs
-            margin = (_dist(m, (qv - z).T) - bound) / max(1.0, bound)
+            margin = (_by_rows(partial(_dist, m), z, qv) - bound) / max(1.0, bound)
             checks.append(margin_report(name, _finite_result(margin, "transport margin"), tol))
     return AxiomReport(tuple(checks))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -102,15 +103,17 @@ def _norm(spec: NormSpec, D: np.ndarray) -> np.ndarray:
     """Norm over axis 0 of a coordinate-major (dim, ...) array; the one
     norm kernel of the library (hot path, no input validation).
 
-    Each step is a whole-row vector operation over the batch.  The rows
-    are added in a fixed order: in order for p = 1 and every p outside
-    {1, 2, inf}; for p = 2 the even squares, then the odd ones, then both.
-    Row-major callers pass a transposed view: ``_norm(spec, v.T).T``.
+    Its working copy is C-contiguous whatever the layout of D, so each
+    step is a whole-row vector operation over contiguous memory, and a
+    strided D gets the bits of its C copy.  The rows are added in a
+    fixed order: in order for p = 1 and every p outside {1, 2, inf}; for
+    p = 2 the even squares, then the odd ones, then both.  Row-major
+    batches go through ``_by_rows``.
     """
     if D.ndim == 1:  # a batch of one: numpy's power of a scalar may round apart
         return _norm(spec, D[:, None]).reshape(())
     dim = D.shape[0]
-    a = np.abs(D)
+    a = np.abs(D, order="C")
     if spec.weights is not None:
         a *= np.asarray(spec.weights).reshape((dim,) + (1,) * (D.ndim - 1))
     p = spec.p
@@ -140,6 +143,29 @@ def _sum_rows(a: np.ndarray, rows: range) -> np.ndarray:
     return s
 
 
+# Rows per kernel call in _by_rows: small enough that every temporary is
+# reused from the heap instead of being mapped and page-faulted afresh.
+_CHUNK_ROWS = 1 << 13
+
+
+def _by_rows(kernel, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """kernel((X - Y)[a:b].T) for the rows of an (m, n) array X, a chunk
+    of rows at a time; Y is None (X itself), one point or an (m, n) array.
+
+    The one way in to ``_norm`` for row-major batches.  A row whose
+    result overflows comes back inf or nan without a warning; callers
+    check their results instead.
+    """
+    out = np.empty(len(X))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, len(X), _CHUNK_ROWS):
+            D = X[a : a + _CHUNK_ROWS]
+            if Y is not None:
+                D = D - (Y if Y.ndim == 1 else Y[a : a + _CHUNK_ROWS])
+            out[a : a + _CHUNK_ROWS] = kernel(D.T)
+    return out
+
+
 def eval_norm(spec: NormSpec, x) -> float | np.ndarray:
     """Evaluate the weighted lp norm of ``x``.
 
@@ -156,9 +182,8 @@ def eval_norm(spec: NormSpec, x) -> float | np.ndarray:
     _check_dim(spec.dim, v.shape[-1])
     if not np.all(np.isfinite(v)):
         raise ValueError("point has non-finite coordinates")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        out = _norm(spec, v.T).T
-    return _finite_result(out, "norm")
+    out = _by_rows(partial(_norm, spec), v.reshape(-1, v.shape[-1]))
+    return _finite_result(out.reshape(v.shape[:-1]), "norm")
 
 
 def _finite_result(out, what: str) -> float | np.ndarray:
@@ -208,8 +233,9 @@ def check_norm_axioms(
     R = rng.uniform(-10.0, 10.0, sample_count)
     X[0] = 0.0  # pin one exact zero vector so N(0) = 0 is exercised
 
-    nx = _norm(spec, X.T)
-    ny = _norm(spec, Y.T)
+    norm = partial(_norm, spec)
+    nx = _by_rows(norm, X)
+    ny = _by_rows(norm, Y)
     nonzero = np.any(X != 0.0, axis=1)
 
     # ~(nx > 0), not nx <= 0: a nan norm is a violation
@@ -217,11 +243,11 @@ def check_norm_axioms(
     pos_worst = float(np.max(np.where(nonzero, -nx, np.abs(nx))))
     positivity = CheckReport("positivity", sample_count, pos_viol, pos_worst, tol)
 
-    hom = np.abs(_norm(spec, (R[:, None] * X).T) - np.abs(R) * nx)
+    hom = np.abs(_by_rows(norm, R[:, None] * X) - np.abs(R) * nx)
     hom_margin = hom / np.maximum(1.0, np.abs(R) * nx)
     homogeneity = margin_report("homogeneity", hom_margin, tol)
 
-    sub = _norm(spec, (X + Y).T) - (nx + ny)
+    sub = _by_rows(norm, X + Y) - (nx + ny)
     sub_margin = sub / np.maximum(1.0, nx + ny)
     subadditivity = margin_report("subadditivity", sub_margin, tol)
 
@@ -249,7 +275,7 @@ def check_unit_ball_convexity(
     Y = _unit_ball_points(spec, rng, sample_count, n)
     T = rng.uniform(0.0, 1.0, sample_count)
     mixed = T[:, None] * X + (1.0 - T)[:, None] * Y
-    margin = _norm(spec, mixed.T) - 1.0
+    margin = _by_rows(partial(_norm, spec), mixed) - 1.0
     return AxiomReport((margin_report("unit_ball_convexity", margin, tol),))
 
 
@@ -273,7 +299,7 @@ def _unit_ball_points(
     spec: NormSpec, rng: np.random.Generator, count: int, dim: int
 ) -> np.ndarray:
     Z = rng.standard_normal((count, dim))
-    nz = _norm(spec, Z.T)
+    nz = _by_rows(partial(_norm, spec), Z)
     nz = np.where(nz > 0.0, nz, 1.0)
     u = rng.uniform(0.0, 1.0, count)
     return Z * (u / nz)[:, None]

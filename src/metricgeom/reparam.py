@@ -8,11 +8,12 @@ data happens behind the caller's back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .curves import Polyline
-from .norms import NormSpec, _points, eval_norm
+from .norms import NormSpec, _by_rows, _finite_result, _norm, _points, eval_norm
 
 
 # Adjacent secant speeds of the unit-speed output must lie within this
@@ -87,7 +88,7 @@ def unit_speed_reparam(
         )
     phi = arclength_profile(c, spec)
     out = Polyline(phi, c.base.points)
-    chords = eval_norm(spec, out.points[1:] - out.points[:-1])
+    chords = _finite_result(_by_rows(partial(_norm, spec), out.points[1:], out.points[:-1]), "norm")
     secants = chords / np.diff(phi)
     if secants.max() > 1.0 + _SECANT_TOL or secants.min() < 1.0 - _SECANT_TOL:
         raise ValueError(

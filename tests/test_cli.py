@@ -185,8 +185,17 @@ class TestGeodesicCommand:
         code = main(["geodesic", "--start", "0,0", "--end", "1,1,1", "--metric", "lp:2"])
         assert code == EXIT_DIMENSION
 
-    def test_nan_coordinate_is_a_parse_error(self):
+    def test_nan_coordinate_is_refused(self):
         code = main(["geodesic", "--start", "nan,0", "--end", "1,1", "--metric", "lp:2"])
+        assert code == EXIT_NUMERIC
+
+    def test_zero_segments_is_refused(self):
+        code = main(["geodesic", "--start", "0,0", "--end", "1,1", "--metric", "lp:2",
+                     "--segments", "0"])
+        assert code == EXIT_NUMERIC
+
+    def test_unreadable_coordinate_is_a_parse_error(self):
+        code = main(["geodesic", "--start", "x,0", "--end", "1,1", "--metric", "lp:2"])
         assert code == EXIT_PARSE
 
     def test_path_roundtrips_through_length(self, tmp_path, capsys):
@@ -414,6 +423,10 @@ class TestCheckCommand:
         assert code == 0
         assert out["passed"] is True
 
+    @pytest.mark.parametrize("flag", ["--dim", "--samples"])
+    def test_zero_count_is_refused(self, flag):
+        assert main(["check", "--metric", "lp:2", flag, "0"]) == EXIT_NUMERIC
+
     def test_sub_one_exponent_rejected_at_parse(self, capsys):
         assert main(["check", "--metric", "lp:0.7", "--samples", "10"]) == EXIT_PARSE
 
@@ -465,11 +478,13 @@ class TestCoveringCommand:
         assert out["blocks"] == [4, 1000]
         assert out["resolved_blocks"] == [4, 0]
 
-    @pytest.mark.parametrize("scales", ["0", "4,-3", "2.5", "4,x"])
-    def test_nonpositive_scale_is_a_parse_error(self, tmp_path, scales):
+    @pytest.mark.parametrize("scales, code", [("0", EXIT_NUMERIC), ("4,-3", EXIT_NUMERIC),
+                                              ("2.5", EXIT_PARSE), ("4,x", EXIT_PARSE)])
+    def test_unreadable_scale_is_a_parse_error_and_nonpositive_refused(self, tmp_path, scales,
+                                                                       code):
         f = write_curve(tmp_path / "c.json", [0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
         argv = ["covering", f, "--metric", "lp:2", "--alpha", "1", "--scales", scales]
-        assert main(argv) == EXIT_PARSE
+        assert main(argv) == code
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from metricgeom import (
     hausdorff_covering_sum,
     length,
     norm_metric,
+    lipschitz_estimate,
     snowflake,
     snowflake_order_transfer,
 )
+from metricgeom.metrics import _dist
+from metricgeom.norms import _CHUNK_ROWS
 
 INF = math.inf
 L1 = norm_metric(NormSpec(1))
@@ -266,3 +270,65 @@ class TestOneKernel:
                 [(_, total)] = hausdorff_covering_sum(Polyline([0.0, 1.0], [x, y]), m,
                                                       1.0 / beta, [1])
                 assert total.hex() == eval_norm(spec, x - y).hex()  # (N^beta)^(1/beta)
+
+
+CHUNK_SIZES = [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5]
+
+
+def _unchunked(m, D):
+    """d over the rows of D in one kernel call on a C-contiguous copy."""
+    D = np.asarray(D)
+    return _dist(m, np.ascontiguousarray(D.reshape(-1, D.shape[-1]).T)).reshape(D.shape[:-1])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRowFront:
+    """Row-major entry points, fed a chunk of rows at a time, keep the bits
+    of one unchunked kernel call."""
+
+    METRICS = [snowflake(norm_metric(NormSpec(p, w)), beta)
+               for p in (1.0, 1.5, 2.0, 3.0, INF) for w in (None, (0.5, 2.0, 3.0))
+               for beta in (1.0, 0.5)]
+
+    @pytest.mark.parametrize("m", METRICS, ids=repr)
+    @pytest.mark.parametrize("count", CHUNK_SIZES)
+    def test_distance_length_and_lipschitz(self, count, m):
+        rng = np.random.default_rng(count)
+        X, Y = rng.normal(size=(2, 2, count, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 2, count, 1))
+        x = X[0, 0]
+        assert same_bits(distance(m, X, Y), _unchunked(m, X - Y))
+        assert same_bits(distance(m, X[1], Y[1]), _unchunked(m, X[1] - Y[1]))
+        assert same_bits(distance(m, x, Y), _unchunked(m, x - Y))
+        assert same_bits(distance(m, Y, x), _unchunked(m, Y - x))
+        t = np.cumsum(rng.uniform(0.5, 1.5, count + 1))
+        P = np.vstack([x, X[1]])
+        steps = _unchunked(m, P[1:] - P[:-1])
+        c = Polyline(t, P)
+        assert length(c, m) == float(np.sum(steps))
+        assert lipschitz_estimate(c, m) == float((steps / np.diff(t)).max())
+
+    @pytest.mark.parametrize("m", METRICS, ids=repr)
+    @pytest.mark.parametrize("count", CHUNK_SIZES)
+    def test_check_metric_axioms(self, count, m):
+        raw = lambda A, B: _unchunked(m, A - B)  # noqa: E731
+        assert check_metric_axioms(m, count, seed=count, dim=3) == check_metric_axioms(
+            raw, count, seed=count, dim=3)
+
+    @pytest.mark.parametrize("m", [L2, norm_metric(NormSpec(INF)), snowflake(L2, 0.5)], ids=repr)
+    def test_overflow_in_the_last_chunk_raises_without_a_warning(self, m):
+        rng = np.random.default_rng(0)
+        count = 20_000
+        assert count > 2 * _CHUNK_ROWS
+        X, Y = rng.normal(size=(2, count, 2))
+        X[-1], Y[-1] = [1e308, 0.0], [-1e308, 0.0]
+        P = np.vstack([Y[:-1], Y[-1], X[-1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                distance(m, X, Y)
+            with pytest.raises(ValueError, match="overflows"):
+                length(Polyline(np.arange(count + 1.0), P), m)

@@ -27,7 +27,7 @@ from metricgeom import (
     norm_metric,
     straightness_check,
 )
-from metricgeom.norms import _norm
+from metricgeom.norms import _CHUNK_ROWS, _norm
 
 INF = math.inf
 
@@ -315,6 +315,41 @@ class TestNormOracle:
                 else:
                     assert np.all((got == 0.0) == (want == 0.0))
                     assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 4  # ulp
+
+
+CHUNK_SIZES = [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 5]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRowFront:
+    """Row-major batches reach the kernel a chunk of rows at a time, and
+    get the bits of one unchunked call on a C-contiguous coordinate-major
+    copy, whatever the layout the caller holds."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    @pytest.mark.parametrize("count", CHUNK_SIZES)
+    def test_eval_norm_matches_one_unchunked_call(self, count, p, weighted):
+        rng = np.random.default_rng(count)
+        spec = NormSpec(p, (0.5, 2.0, 3.0) if weighted else None)
+        V = rng.normal(size=(2, count, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, count, 1))
+        want = _norm(spec, np.ascontiguousarray(V.reshape(-1, 3).T)).reshape(2, count)
+        assert same_bits(eval_norm(spec, V), want)
+        assert same_bits(eval_norm(spec, V[1]), want[1])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, INF])
+    def test_strided_view_gets_the_bits_of_its_c_copy(self, p, weighted):
+        rng = np.random.default_rng(7)
+        spec = NormSpec(p, (0.5, 2.0, 3.0) if weighted else None)
+        W = rng.normal(size=(3 * _CHUNK_ROWS + 5, 6)) * 10.0 ** rng.uniform(-3.0, 3.0, (1, 6))
+        for D in (W[:, :3].T, W[:, ::2].T, W[::3, 1:4].T):
+            assert not D.flags.c_contiguous
+            assert same_bits(_norm(spec, D), _norm(spec, np.ascontiguousarray(D)))
 
 
 W3 = norm_metric(NormSpec(2, weights=(1.0, 2.0, 3.0)))
