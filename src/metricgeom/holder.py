@@ -897,17 +897,18 @@ def koch_generator(level: int) -> Polyline:
     """
     if not 0 <= level <= 12:
         raise ValueError("level must lie in [0, 12]")
-    z = np.array([0.0 + 0.0j, 1.0 + 0.0j])
+    # Every level is refined in place in one array of the final size, the
+    # level-k samples at stride 4^(level - k), and the (x, y) pairs are a
+    # view of it: no whole-curve temporary is made and dropped.
+    m = 4**level
+    z = np.empty(m + 1, dtype=complex)
+    z[0], z[m] = 0.0, 1.0
     bump = complex(0.5, math.sqrt(3.0) / 2.0)  # rotation by 60 degrees
-    for _ in range(level):
-        a = z[:-1]
-        third = (z[1:] - a) / 3.0
-        new = np.empty(4 * len(a) + 1, dtype=complex)
-        new[0::4][:-1] = a
-        new[1::4] = a + third
-        new[2::4] = a + third + third * bump
-        new[3::4] = a + 2.0 * third
-        new[-1] = z[-1]
-        z = new
-    params = np.linspace(0.0, 1.0, len(z))
-    return Polyline(params, np.column_stack([z.real, z.imag]))
+    for k in range(level):
+        s = 4 ** (level - k)
+        a = z[:m:s]
+        third = (z[s::s] - a) / 3.0
+        z[s // 4 :: s] = a + third
+        z[s // 2 :: s] = a + third + third * bump
+        z[3 * s // 4 :: s] = a + 2.0 * third
+    return Polyline(np.linspace(0.0, 1.0, m + 1), z.view(float).reshape(-1, 2))
