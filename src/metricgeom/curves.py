@@ -18,7 +18,9 @@ class Polyline:
     """A sampled curve: strictly increasing parameters paired with points.
 
     ``points`` is an (m, n) array; a 1-d input is promoted to a curve in
-    R^1.  Values are immutable after construction.
+    R^1.  Values are immutable after construction: inputs are copied,
+    except a read-only C-contiguous array that owns its memory (another
+    curve's, say), which is shared.
     """
 
     params: np.ndarray
@@ -31,8 +33,8 @@ class Polyline:
             raise ValueError(f"need equally many params and points, got {len(t)} and {len(P)}")
         if len(t) > 1 and not np.all(np.diff(t) > 0.0):
             raise ValueError("params must be strictly increasing")
-        t = t.copy()
-        P = P.copy()
+        t = _owned(t)
+        P = _owned(P)
         t.setflags(write=False)
         P.setflags(write=False)
         object.__setattr__(self, "params", t)
@@ -55,6 +57,12 @@ class Polyline:
     @property
     def interval(self) -> tuple[float, float]:
         return float(self.params[0]), float(self.params[-1])
+
+
+def _owned(x: np.ndarray) -> np.ndarray:
+    """x itself if it is read-only, C-contiguous and owns its memory, else a copy."""
+    f = x.flags
+    return x if f.owndata and f.c_contiguous and not f.writeable else x.copy()
 
 
 def length(c: Polyline, m: Metric) -> float:

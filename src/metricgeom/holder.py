@@ -897,11 +897,13 @@ def koch_generator(level: int) -> Polyline:
     """
     if not 0 <= level <= 12:
         raise ValueError("level must lie in [0, 12]")
-    # Every level is refined in place in one array of the final size, the
-    # level-k samples at stride 4^(level - k), and the (x, y) pairs are a
-    # view of it: no whole-curve temporary is made and dropped.
+    # Every level is refined in place in the (x, y) array of the final
+    # size, seen as complex numbers, the level-k samples at stride
+    # 4^(level - k); the curve keeps that array, so no whole-curve
+    # temporary is made and dropped.
     m = 4**level
-    z = np.empty(m + 1, dtype=complex)
+    P = np.empty((m + 1, 2))
+    z = P.view(complex)[:, 0]
     z[0], z[m] = 0.0, 1.0
     bump = complex(0.5, math.sqrt(3.0) / 2.0)  # rotation by 60 degrees
     for k in range(level):
@@ -911,4 +913,7 @@ def koch_generator(level: int) -> Polyline:
         z[s // 4 :: s] = a + third
         z[s // 2 :: s] = a + third + third * bump
         z[3 * s // 4 :: s] = a + 2.0 * third
-    return Polyline(np.linspace(0.0, 1.0, m + 1), z.view(float).reshape(-1, 2))
+    t = np.linspace(0.0, 1.0, m + 1)
+    t.setflags(write=False)
+    P.setflags(write=False)
+    return Polyline(t, P)

@@ -83,6 +83,21 @@ class TestPolyline:
         with pytest.raises(ValueError):
             c.points[0, 0] = 5.0
 
+    def test_writable_inputs_are_copied(self):
+        t, P = np.array([0.0, 1.0]), np.array([[0.0], [1.0]])
+        c = Polyline(t, P)
+        t[1], P[1, 0] = 3.0, 7.0
+        assert c.params[1] == 1.0 and c.points[1, 0] == 1.0
+
+    def test_read_only_owned_arrays_are_shared(self):
+        c = Polyline([0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        d = Polyline(c.params, c.points[::-1])  # a reversed view is copied
+        assert d.params is c.params
+        assert not np.shares_memory(d.points, c.points) and d.points.flags.c_contiguous
+        F = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        F.setflags(write=False)
+        assert Polyline(c.params, F).points.flags.c_contiguous
+
     def test_equality(self):
         a = Polyline([0.0, 1.0], [[0.0], [1.0]])
         b = Polyline([0.0, 1.0], [[0.0], [1.0]])
