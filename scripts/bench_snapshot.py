@@ -10,9 +10,10 @@ length that BENCHMARK.json declares and for seeds 1, 2 and 3.  With
 --baseline, every (workload, seed) also runs in a second checkout (say a
 `git clone` of the parent commit), the two sides alternating which goes
 first, so both meet the same machine conditions.  The file holds each
-run's metrics and operation counts, the median of every metric per
-workload and side, the Python and numpy versions, the CPU count
-and each checkout's git revision.  Expect about 25 s per run.
+run's metrics, operation counts and minor page faults (those of the run's
+process and of every process it waited for), the median of every metric
+per workload and side, the Python and numpy versions, the CPU count and
+each checkout's git revision.  Expect about 25 s per run.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -46,13 +48,15 @@ def revision(root: str) -> dict:
 def run(root: str, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv[1:])} in {root} exited {proc.returncode}:\n"
                          f"{proc.stderr}")
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"seed": seed, "correct": out["correct"], "attempted": out["attempted"],
-            "failed": out["failed"],
+            "failed": out["failed"], "minor_faults": faults,
             "metrics": {k: v["value"] for k, v in out["metrics"].items()}}
 
 
@@ -87,7 +91,8 @@ def main() -> int:
                 runs[side][workload].append(r)
                 print(f"{side:8} {workload:15} seed {seed}: "
                       + ", ".join(f"{k}={v:.4g}" for k, v in r["metrics"].items())
-                      + f", failed {r['failed']}/{r['attempted']}", file=sys.stderr)
+                      + f", failed {r['failed']}/{r['attempted']}"
+                      + f", minor faults {r['minor_faults']}", file=sys.stderr)
 
     snapshot = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "

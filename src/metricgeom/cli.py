@@ -106,6 +106,8 @@ def dumps(obj) -> str:
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
+    if isinstance(obj, list) and all(type(v) is float for v in obj):
+        return "[" + ", ".join(map(_fmt_float, obj)) + "]"  # the general path's text, faster
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -70,8 +70,8 @@ class GeodesicProblem:
     initial_path: Polyline | None = None
 
     def __post_init__(self):
-        s = as_vector(self.start, dim=self.metric.dim)
-        e = as_vector(self.end, dim=s.size)
+        s = _endpoint("start", self.start, self.metric.dim)
+        e = _endpoint("end", self.end, s.size)
         object.__setattr__(self, "start", s)
         object.__setattr__(self, "end", e)
         if self.segment_count < 1:
@@ -91,6 +91,14 @@ class GeodesicProblem:
             if not (np.allclose(p.points[0], s, atol=1e-12)
                     and np.allclose(p.points[-1], e, atol=1e-12)):
                 raise ValueError("initial_path endpoints must equal start and end")
+
+
+def _endpoint(name: str, x, dim: int | None) -> np.ndarray:
+    """``as_vector(x, dim)``, its errors prefixed with the field name."""
+    try:
+        return as_vector(x, dim=dim)
+    except ValueError as exc:  # DimensionMismatch too, whose type is kept
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

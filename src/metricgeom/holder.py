@@ -5,6 +5,7 @@ test-curve generator."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,38 +210,67 @@ def _regression_logs(
     d2: Metric,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """log d1 and log d2 over the regression pairs where both are finite,
-    and whether those pairs are a subsample."""
+    """log d1 and log d2 over the regression pairs where both are finite
+    and positive, and whether those pairs are a subsample.
+
+    The pairs are streamed from ``_regression_pairs``: each chunk is
+    measured and its logs are written into two arrays allocated once.
+    Beyond those two arrays the memory is O(chunk) and the pair indices:
+    ``triu_indices`` for all pairs, or one round's first indices of the
+    subsample (int32, half a log array).
+    """
     count = len(X)
     total = count * (count - 1) // 2
-    if total <= _MAX_REGRESSION_PAIRS:
-        ii, jj = np.triu_indices(count, k=1)
-    else:
-        # rounds of draws, coincident pairs dropped; each round is cut to the
-        # pairs still needed, so a second round adds only the few it replaces
-        rng = np.random.default_rng(seed)
-        firsts, seconds, need = [], [], _MAX_REGRESSION_PAIRS
-        while need:
-            a = rng.integers(0, count, _MAX_REGRESSION_PAIRS)
-            b = rng.integers(0, count, _MAX_REGRESSION_PAIRS)
-            keep = a != b
-            firsts.append(a[keep][:need])
-            seconds.append(b[keep][:need])
-            need -= len(firsts[-1])
-        a, b = np.concatenate(firsts), np.concatenate(seconds)
-        ii, jj = np.minimum(a, b), np.maximum(a, b)
+    subsampled = total > _MAX_REGRESSION_PAIRS
+    size = min(total, _MAX_REGRESSION_PAIRS)
+    logs1, logs2 = np.empty(size), np.empty(size)
     XT = np.ascontiguousarray(X.T)
     YT = np.ascontiguousarray(Y.T)
-    logs1, logs2 = [], []
-    for a in range(0, len(ii), _CHUNK_ROWS):  # chunks keep every temporary in cache
-        i, j = ii[a : a + _CHUNK_ROWS], jj[a : a + _CHUNK_ROWS]
+    n = 0
+    for i, j in _regression_pairs(count, seed, subsampled):
         with np.errstate(over="ignore", invalid="ignore"):  # such pairs are left out below
             D1 = _dist(d1, _diffs(XT, i, j))
             D2 = _dist(d2, _diffs(YT, i, j))
         ok = (0.0 < D1) & (D1 < math.inf) & (0.0 < D2) & (D2 < math.inf)
-        logs1.append(np.log(D1[ok]))
-        logs2.append(np.log(D2[ok]))
-    return np.concatenate(logs1), np.concatenate(logs2), total > _MAX_REGRESSION_PAIRS
+        k = n + np.count_nonzero(ok)
+        np.log(D1[ok], out=logs1[n:k])
+        np.log(D2[ok], out=logs2[n:k])
+        n = k
+    return logs1[:n], logs2[:n], subsampled
+
+
+def _regression_pairs(count: int, seed: int,
+                      subsampled: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The regression pairs (i, j), i < j, in chunks of at most
+    ``_CHUNK_ROWS``: every pair in row-major order, or a seeded subsample
+    of ``_MAX_REGRESSION_PAIRS`` pairs.
+
+    The subsample is drawn in rounds of ``_MAX_REGRESSION_PAIRS`` first
+    and second indices, coincident pairs dropped, until enough pairs are
+    kept.  A round draws its first indices whole, then its second ones a
+    chunk at a time from the same generator; numpy's bounded draws
+    continue one stream across calls, so the pairs are those of drawing
+    each round's two index arrays whole.  Below 2^31 samples, which no
+    fit reaches, int32 draws take the values of int64 ones.
+    """
+    if not subsampled:
+        ii, jj = np.triu_indices(count, k=1)
+        for a in range(0, len(ii), _CHUNK_ROWS):  # chunks keep every temporary in cache
+            yield ii[a : a + _CHUNK_ROWS], jj[a : a + _CHUNK_ROWS]
+        return
+    rng = np.random.default_rng(seed)
+    need = _MAX_REGRESSION_PAIRS
+    while need:
+        first = rng.integers(0, count, _MAX_REGRESSION_PAIRS, dtype=np.int32)
+        for a in range(0, _MAX_REGRESSION_PAIRS, _CHUNK_ROWS):
+            i = first[a : a + _CHUNK_ROWS]
+            j = rng.integers(0, count, len(i), dtype=np.int32)
+            keep = i != j
+            i, j = i[keep][:need], j[keep][:need]
+            need -= len(i)
+            yield np.minimum(i, j), np.maximum(i, j)
+            if not need:
+                return
 
 
 def _diffs(PT: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:

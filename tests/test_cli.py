@@ -184,10 +184,19 @@ class TestGeodesicCommand:
     def test_dimension_mismatch_exit_code(self, capsys):
         code = main(["geodesic", "--start", "0,0", "--end", "1,1,1", "--metric", "lp:2"])
         assert code == EXIT_DIMENSION
+        assert "error: end: expected dimension 2, got 3" in capsys.readouterr().err
 
     def test_nan_coordinate_is_refused(self):
         code = main(["geodesic", "--start", "nan,0", "--end", "1,1", "--metric", "lp:2"])
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("flag, value", [("start", "0,nan"), ("end", "inf,1")])
+    def test_non_finite_point_error_names_its_flag(self, capsys, flag, value):
+        points = {"start": "0,0", "end": "1,1", flag: value}
+        code = main(["geodesic", "--start", points["start"], "--end", points["end"],
+                     "--metric", "lp:2"])
+        assert code == EXIT_NUMERIC
+        assert f"error: {flag}: expected finite reals" in capsys.readouterr().err
 
     def test_zero_segments_is_refused(self):
         code = main(["geodesic", "--start", "0,0", "--end", "1,1", "--metric", "lp:2",
@@ -493,6 +502,20 @@ class TestSerialization:
         text = dumps({"values": values})
         parsed = json.loads(text)["values"]
         assert parsed == values
+
+    def test_float_lists_match_the_general_path(self):
+        # tuples take the general path item by item; lists of only floats a
+        # shortcut, which must give the same text
+        def as_tuples(v):
+            return tuple(map(as_tuples, v)) if isinstance(v, list) else v
+
+        nested = [[0.1, math.nan, math.inf], [-math.inf, -0.0, 0.0, 1e-300], [],
+                  [1, 2.5, True], [False, 0.5], [np.float64(0.1), 0.1], [[2.0], [3, 4.0]],
+                  [np.int64(3), 1.0], 7.0]
+        text = dumps(nested)
+        assert text == dumps(as_tuples(nested))
+        assert text.startswith("[[0.10000000000000001, null, null], [null, -0, 0, 1e-300], [], "
+                               "[1, 2.5, true], [false, 0.5], [0.10000000000000001, ")
 
     def test_emitted_curves_reparse_identically(self, tmp_path):
         from metricgeom import GeodesicProblem, NormSpec, norm_metric, solve

@@ -30,6 +30,7 @@ from metricgeom import (
     norm_metric,
     snowflake,
 )
+from metricgeom import holder
 from metricgeom.curves import Polyline
 from metricgeom.holder import (
     _CHUNK,
@@ -40,8 +41,11 @@ from metricgeom.holder import (
     _DiameterScan,
     _block_diameters,
     _lag_scan,
+    _regression_logs,
+    _regression_pairs,
     _spatial_order,
 )
+from metricgeom.metrics import distance
 
 L1 = norm_metric(NormSpec(1))
 L2 = norm_metric(NormSpec(2))
@@ -494,6 +498,85 @@ class TestFitHolderBranchAndBound:
         assert fit_holder(xs, np.ones(50), L1, L1, alpha=1.0).log_C == -math.inf
         bad = fit_holder([0.0, 1.0, 1.0], [0.0, 2.0, 3.0], L1, L1, alpha=1.0)
         assert bad.log_C == math.inf and not bad.is_holder
+
+
+def _oracle_subsample(count, seed, size):
+    """The subsample drawn whole: rounds of two int64 index arrays of
+    ``size`` draws each, coincident pairs dropped, joined and cut to
+    ``size`` pairs; also the number of rounds."""
+    rng = np.random.default_rng(seed)
+    firsts, seconds, need = [], [], size
+    while need:
+        a = rng.integers(0, count, size)
+        b = rng.integers(0, count, size)
+        keep = a != b
+        firsts.append(a[keep][:need])
+        seconds.append(b[keep][:need])
+        need -= len(firsts[-1])
+    a, b = np.concatenate(firsts), np.concatenate(seconds)
+    return np.minimum(a, b), np.maximum(a, b), len(firsts)
+
+
+def _scattered_with_repeats(count, seed):
+    """Scattered 2-D samples, some repeated, so that some drawn pairs have
+    d1 = 0 and are left out of the logs."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, (count, 2))
+    X[1::7] = X[::7][: len(X[1::7])]
+    Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2, np.cos(2.0 * X[:, 1])])
+    return X, Y
+
+
+class TestRegressionPairs:
+    """The streamed regression pairs against the subsample drawn whole."""
+
+    def _check_against_oracle(self, count, seed):
+        X, Y = _scattered_with_repeats(count, seed)
+        d2 = snowflake(L2, 0.5)
+        ii, jj, rounds = _oracle_subsample(count, seed, holder._MAX_REGRESSION_PAIRS)
+        chunks = list(_regression_pairs(count, seed, True))
+        assert all(len(i) <= holder._CHUNK_ROWS for i, _ in chunks)
+        assert np.array_equal(np.concatenate([i for i, _ in chunks]), ii)
+        assert np.array_equal(np.concatenate([j for _, j in chunks]), jj)
+        D1, D2 = distance(L2, X[ii], X[jj]), distance(d2, Y[ii], Y[jj])
+        ok = (D1 > 0.0) & (D2 > 0.0)
+        log_d1, log_d2, subsampled = _regression_logs(X, Y, L2, d2, seed)
+        assert subsampled and 0 < len(log_d1) < len(ii)
+        assert log_d1.tobytes() == np.log(D1[ok]).tobytes()
+        assert log_d2.tobytes() == np.log(D2[ok]).tobytes()
+        return rounds
+
+    @pytest.mark.parametrize("count", [633, 1025, 1500, 4097])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_streamed_pairs_are_the_whole_draw(self, count, seed):
+        self._check_against_oracle(count, seed)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+    def test_rounds_ending_inside_a_chunk(self, monkeypatch, chunk):
+        # 1000 pairs of 50 samples: about 20 draws per round are coincident,
+        # so the first round ends short of the need, inside its last chunk
+        # when 1000 is not a multiple of the chunk, and a second round fills it
+        monkeypatch.setattr(holder, "_MAX_REGRESSION_PAIRS", 1000)
+        monkeypatch.setattr(holder, "_CHUNK_ROWS", chunk)
+        rounds = [self._check_against_oracle(50, seed) for seed in range(5)]
+        assert max(rounds) > 1
+
+    def test_subsampled_call_memory_is_the_two_log_arrays(self):
+        # the two log arrays take 3.2 MB and one round's first indices 0.8 MB;
+        # drawing whole and joining per-chunk logs peaked at 17.9 MB
+        rng = np.random.default_rng(1)
+        X = rng.uniform(0.0, 1.0, (1500, 2))
+        Y = np.column_stack([np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2, np.cos(2.0 * X[:, 1])])
+        d2 = snowflake(L2, 0.5)
+        _regression_logs(X, Y, L2, d2, 0)
+        tracemalloc.start()
+        try:
+            log_d1, _, subsampled = _regression_logs(X, Y, L2, d2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert subsampled and len(log_d1) == 200_000
+        assert peak < 6e6
 
 
 class TestFitHolderSpatialOrder:
