@@ -9,7 +9,6 @@ library refuses exits 4.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -124,79 +123,34 @@ def load_curve(path: str) -> tuple[Polyline, np.ndarray | None]:
     """Read a curve from a JSON file, a CSV file, or stdin ('-', JSON only).
 
     JSON schema: {"params": [...], "points": [[...]], "derivs": [[...]]?}.
-    CSV rows are t, x1, ..., xn with no header.
+    CSV rows are t, x1, ..., xn with no header; lines of only whitespace
+    are skipped, and a cell may be quoted.  ``Polyline`` and
+    ``SampledC1Curve`` check the values.  Every fault raises
+    ``CurveFormatError`` prefixed with the file's label.
     """
-    if path == "-":
-        return _curve_from_json(sys.stdin.read(), "<stdin>")
-    if path.endswith(".csv"):
-        return _curve_from_csv(path)
+    label = "<stdin>" if path == "-" else path
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CurveFormatError(f"{path}: {exc}") from None
-    return _curve_from_json(text, path)
-
-
-def _curve_from_json(text: str, label: str) -> tuple[Polyline, np.ndarray | None]:
-    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        if path.endswith(".csv"):
+            lines = [line for line in text.splitlines() if line.strip()]
+            if not lines:
+                raise ValueError("empty curve file")
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"')
+            return Polyline(rows[:, 0], rows[:, 1:]), None
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CurveFormatError(
-            f"{label}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(data, dict):
-        raise CurveFormatError(f"{label}: expected a JSON object")
-    for field in ("params", "points"):
-        if field not in data:
-            raise CurveFormatError(f"{label}: field {field!r}: missing")
-        if not isinstance(data[field], list):
-            raise CurveFormatError(f"{label}: field {field!r}: expected an array")
-    try:
-        curve = Polyline(np.asarray(data["params"], dtype=float),
-                         np.asarray(data["points"], dtype=float))
-    except (ValueError, TypeError) as exc:
-        raise CurveFormatError(f"{label}: fields 'params'/'points': {exc}") from None
-    derivs = None
-    if "derivs" in data and data["derivs"] is not None:
-        try:
-            derivs = np.asarray(data["derivs"], dtype=float)
-            SampledC1Curve(curve, derivs)  # validation only
-        except (ValueError, TypeError) as exc:
-            raise CurveFormatError(f"{label}: field 'derivs': {exc}") from None
-    return curve, derivs
-
-
-def _curve_from_csv(path: str) -> tuple[Polyline, None]:
-    rows: list[list[float]] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError:
-                    raise CurveFormatError(
-                        f"{path}: line {lineno}: non-numeric cell"
-                    ) from None
-                if len(rows[-1]) < 2:
-                    raise CurveFormatError(
-                        f"{path}: line {lineno}: need t plus at least one coordinate"
-                    )
-                if len(rows[-1]) != len(rows[0]):
-                    raise CurveFormatError(
-                        f"{path}: line {lineno}: expected {len(rows[0])} columns"
-                    )
-    except OSError as exc:
-        raise CurveFormatError(f"{path}: {exc}") from None
-    if not rows:
-        raise CurveFormatError(f"{path}: empty curve file")
-    data = np.asarray(rows, dtype=float)
-    try:
-        return Polyline(data[:, 0], data[:, 1:]), None
-    except ValueError as exc:
-        raise CurveFormatError(f"{path}: {exc}") from None
+        if not isinstance(data, dict):
+            raise TypeError("expected a JSON object")
+        curve = Polyline(data["params"], data["points"])
+        derivs = data.get("derivs")
+        return curve, None if derivs is None else SampledC1Curve(curve, derivs).derivs
+    except KeyError as exc:
+        raise CurveFormatError(f"{label}: field {exc}: missing") from None
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
+        raise CurveFormatError(f"{label}: {exc}") from None
 
 
 def _comma_list(kind: type):

@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 
 from .metrics import Metric, _dist
-from .norms import _by_rows, _check_dim, _finite_result, _points, as_vector
+from .norms import _by_rows, _check_dim, _finite_result, _points, _vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +27,7 @@ class Polyline:
     points: np.ndarray
 
     def __post_init__(self):
-        t = as_vector(self.params)
+        t = _vector("params", self.params)
         P = _points(self.points)
         if len(t) != len(P):
             raise ValueError(f"need equally many params and points, got {len(t)} and {len(P)}")

@@ -49,7 +49,7 @@ import numpy as np
 
 from .curves import Polyline
 from .metrics import Metric, _dist
-from .norms import _by_rows, _check_dim, as_vector
+from .norms import _by_rows, _check_dim, _vector, as_vector
 
 @dataclass(frozen=True, eq=False)
 class GeodesicProblem:
@@ -70,16 +70,18 @@ class GeodesicProblem:
     initial_path: Polyline | None = None
 
     def __post_init__(self):
-        s = _endpoint("start", self.start, self.metric.dim)
-        e = _endpoint("end", self.end, s.size)
+        s = _vector("start", self.start, self.metric.dim)
+        e = _vector("end", self.end, s.size)
         object.__setattr__(self, "start", s)
         object.__setattr__(self, "end", e)
-        if self.segment_count < 1:
-            raise ValueError("segment_count must be at least 1")
+        for name in ("segment_count", "max_iters"):
+            count = getattr(self, name)
+            # count % 1 == 0 refuses 2.5, nan and inf; 4.0 and numpy ints pass
+            if not (count >= 1 and count % 1 == 0):
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+            object.__setattr__(self, name, int(count))
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
         if self.initial_path is not None:
             p = self.initial_path
             _check_dim(s.size, p.dim)
@@ -91,14 +93,6 @@ class GeodesicProblem:
             if not (np.allclose(p.points[0], s, atol=1e-12)
                     and np.allclose(p.points[-1], e, atol=1e-12)):
                 raise ValueError("initial_path endpoints must equal start and end")
-
-
-def _endpoint(name: str, x, dim: int | None) -> np.ndarray:
-    """``as_vector(x, dim)``, its errors prefixed with the field name."""
-    try:
-        return as_vector(x, dim=dim)
-    except ValueError as exc:  # DimensionMismatch too, whose type is kept
-        raise type(exc)(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

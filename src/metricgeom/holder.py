@@ -197,9 +197,13 @@ def fit_holder(
     log_C = scan.best_log if C == math.inf else math.log(C) if C > 0.0 else -math.inf
     residual = 0.0
     if math.isfinite(log_C) and len(log_d1):
-        g = log_d2 - alpha * log_d1
+        # in place in the logs this call owns: g = log d2 - alpha log d1, then (g - mean)^2
+        log_d1 *= alpha
+        g = np.subtract(log_d2, log_d1, out=log_d2)
         mean = float(g.mean())
-        residual = math.sqrt(float(np.sum((g - mean) ** 2)) / g.size + (mean - log_C) ** 2)
+        g -= mean
+        g *= g
+        residual = math.sqrt(float(np.sum(g)) / g.size + (mean - log_C) ** 2)
     return HolderFit(C, alpha, residual, divmod(scan.key, count), log_C, **stats)
 
 

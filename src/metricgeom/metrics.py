@@ -99,8 +99,8 @@ def snowflake_order_transfer(alpha: float, beta: float, mode: str = "domain") ->
     against d1^beta.  ``range`` mode: order alpha against d2 becomes order
     alpha*beta against d2^beta.
     """
-    if not alpha > 0.0:
-        raise ValueError("order alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"order alpha must be a positive finite real, got {alpha!r}")
     if not (0.0 < beta <= 1.0):
         raise ValueError("snowflake exponent must lie in (0, 1]")
     if mode == "domain":

@@ -35,19 +35,27 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _points(pts) -> np.ndarray:
+def _vector(name: str, x, dim: int | None = None) -> np.ndarray:
+    """``as_vector(x, dim)``, its errors prefixed with the argument's name."""
+    try:
+        return as_vector(x, dim=dim)
+    except ValueError as exc:  # DimensionMismatch too, whose type is kept
+        raise type(exc)(f"{name}: {exc}") from None
+
+
+def _points(pts, name: str = "points") -> np.ndarray:
     """Validate m points of R^n as an (m, n) float array, n >= 1.
 
     A 1-d input is m points of R^1.  Rejects other shapes and non-finite
-    coordinates.
+    coordinates; the errors call the input ``name``.
     """
     P = np.asarray(pts, dtype=float)
     if P.ndim == 1:
         P = P[:, None]
     if P.ndim != 2 or P.shape[1] < 1:
-        raise ValueError(f"expected a list of points (m, n) with n >= 1, got shape {P.shape}")
+        raise ValueError(f"expected {name} as an (m, n) list with n >= 1, got shape {P.shape}")
     if not np.all(np.isfinite(P)):
-        raise ValueError("points must be finite")
+        raise ValueError(f"{name} must be finite")
     return P
 
 

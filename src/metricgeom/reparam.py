@@ -33,7 +33,7 @@ class SampledC1Curve:
     derivs: np.ndarray
 
     def __post_init__(self):
-        d = _points(self.derivs)
+        d = _points(self.derivs, "derivs")
         if d.shape != self.base.points.shape:
             raise ValueError(
                 f"derivs shape {d.shape} does not match points shape "

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from metricgeom.cli import (
     EXIT_PARSE,
     EXIT_VIOLATION,
     dumps,
+    load_curve,
     main,
     parse_metric_spec,
 )
@@ -122,6 +124,80 @@ class TestLengthCommand:
         f = tmp_path / "c.json"
         f.write_text(json.dumps({"params": [1, 0], "points": [[0], [1]]}))
         assert main(["length", str(f), "--metric", "lp:1"]) == EXIT_PARSE
+
+
+STAIRCASE = ([0.0, 1.0, 2.0], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+HUGE_INT = "1" + "0" * 400  # beyond the float range: float() overflows
+
+# (file name, content, parsed (params, points) or None for a file that exits 2)
+CURVE_FILES = {
+    "blank lines": ("c.csv", b"0,0,0\n\n1,1,0\n\n2,1,1\n", STAIRCASE),
+    "whitespace-only lines": ("c.csv", b"0,0,0\n   \n\t\n1,1,0\n2,1,1\n", STAIRCASE),
+    "spaces around cells": ("c.csv", b" 0 , 0 ,0\n1,  1,0 \n2 ,1,1\n", STAIRCASE),
+    "CRLF line endings": ("c.csv", b"0,0,0\r\n1,1,0\r\n2,1,1\r\n", STAIRCASE),
+    "quoted cells": ("c.csv", b'"0","0",0\n1,"1",0\n2,1,"1"\n', STAIRCASE),
+    "trailing blank lines": ("c.csv", b"0,0,0\n1,1,0\n2,1,1\n\n \n\n", STAIRCASE),
+    "json": ("c.json", json.dumps({"params": STAIRCASE[0], "points": STAIRCASE[1]}).encode(),
+             STAIRCASE),
+    "csv non-numeric cell": ("c.csv", b"0,0\noops,1\n", None),
+    "csv empty cell": ("c.csv", b"0,0,0\n1,,1\n", None),
+    "csv ragged rows": ("c.csv", b"0,0,0\n1,1\n", None),
+    "csv row with no coordinate": ("c.csv", b"0\n1\n", None),
+    "csv empty file": ("c.csv", b"", None),
+    "csv only blank lines": ("c.csv", b" \n\n", None),
+    "csv nan": ("c.csv", b"0,0\n1,nan\n", None),
+    "csv decreasing t": ("c.csv", b"1,0\n0,1\n", None),
+    "csv digit-group underscores": ("c.csv", b"0,0\n1_000,1\n", None),
+    "csv not utf-8": ("c.csv", b"0,0\n\xff,1\n", None),
+    "json not an object": ("c.json", b"[[0, 0], [1, 1]]", None),
+    "json missing params": ("c.json", b'{"points": [[0], [1]]}', None),
+    "json missing points": ("c.json", b'{"params": [0, 1]}', None),
+    "json params not an array": ("c.json", b'{"params": 5, "points": [[0], [1]]}', None),
+    "json points not an array": ("c.json", b'{"params": [0, 1], "points": "ab"}', None),
+    "json ragged points": ("c.json", b'{"params": [0, 1], "points": [[0], [1, 2]]}', None),
+    "json nan": ("c.json", b'{"params": [0, 1], "points": [[0], [NaN]]}', None),
+    "json decreasing t": ("c.json", b'{"params": [1, 0], "points": [[0], [1]]}', None),
+    "json integer beyond floats": (
+        "c.json", f'{{"params": [0, {HUGE_INT}], "points": [[0], [1]]}}'.encode(), None),
+    "json derivs wrong shape": (
+        "c.json", b'{"params": [0, 1], "points": [[0], [1]], "derivs": [[1]]}', None),
+    "json derivs not finite": (
+        "c.json", b'{"params": [0, 1], "points": [[0], [1]], "derivs": [[1], [NaN]]}', None),
+    "json decode error": ("c.json", b"{nope", None),
+    "json not utf-8": ("c.json", b'{"params": [0, 1], "points": [[0], [1\xff]]}', None),
+    "stdin decode error": ("-", b"{nope", None),
+    "stdin not an object": ("-", b"null", None),
+    "missing file": ("absent.json", None, None),
+}
+
+
+class TestCurveReader:
+    """The curve file contract, through `main`: what is read, and what exits 2
+    with the file's label on stderr."""
+
+    @pytest.mark.parametrize("case", list(CURVE_FILES))
+    def test_curve_file(self, case, tmp_path, capsys, monkeypatch):
+        name, content, parsed = CURVE_FILES[case]
+        if name == "-":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(content.decode()))
+            path, label = "-", "<stdin>"
+        else:
+            path = label = str(tmp_path / name)
+            if content is not None:
+                (tmp_path / name).write_bytes(content)
+        code = main(["length", path, "--metric", "lp:1"])
+        captured = capsys.readouterr()
+        if parsed is None:
+            assert code == EXIT_PARSE
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {label}: ")
+            return
+        assert code == 0, captured.err
+        curve, derivs = load_curve(path)
+        assert curve.params.tolist() == parsed[0]
+        assert curve.points.tolist() == parsed[1]
+        assert derivs is None
+        assert json.loads(captured.out)["length"] == 2.0
 
 
 class TestGeodesicCommand:

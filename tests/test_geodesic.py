@@ -130,6 +130,22 @@ class TestSolve:
         with pytest.raises(ValueError):
             GeodesicProblem(L2, [0.0], [1.0], segment_count=3, initial_path=bad)
 
+    @pytest.mark.parametrize("field", ["segment_count", "max_iters"])
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, -math.inf, 0, -3])
+    def test_counts_must_be_integers(self, field, value):
+        # a nan max_iters would run no sweep, and a fractional
+        # segment_count cannot size the grid
+        with pytest.raises(ValueError, match=field):
+            GeodesicProblem(L2, [0.0], [1.0], **{field: value})
+
+    def test_integral_counts_are_ints(self):
+        # 4.0 and numpy ints pass the rule, as in covering sums' scales
+        prob = GeodesicProblem(L2, [0.0, 0.0], [1.0, 1.0], segment_count=4.0,
+                               max_iters=np.int64(50))
+        assert type(prob.segment_count) is int and type(prob.max_iters) is int
+        assert solve(prob).path == solve(GeodesicProblem(L2, [0.0, 0.0], [1.0, 1.0],
+                                                         segment_count=4, max_iters=50)).path
+
 
 def perturbed_start(start, end, segments, seed=0):
     grid = np.linspace(0.0, 1.0, segments + 1)

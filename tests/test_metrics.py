@@ -228,6 +228,12 @@ class TestOrderTransfer:
         with pytest.raises(ValueError):
             snowflake_order_transfer(1.0, 0.5, "sideways")
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_order(self, alpha):
+        for mode in ("domain", "range"):
+            with pytest.raises(ValueError, match="alpha"):
+                snowflake_order_transfer(alpha, 0.5, mode)
+
 
 class TestSnowflakeMonotonicity:
     @given(
