@@ -43,12 +43,13 @@ class HolderFit:
     log d2 - (log C + alpha log d1) over the ``regression_pairs`` pairs
     with finite positive d1 and d2 that the order regression uses: all pairs, or a seeded
     subsample when ``subsampled``.  ``pairs_scanned`` counts the pairs
-    whose ratio the branch-and-bound evaluated exactly, for instance 13%
-    of all pairs on the level-6 Koch curve at its fitted order, and 47%
-    on the 1500 scattered points of the ``sampled_curves`` benchmark fit.
-    The count depends on the search as well as the data: its block radii
-    are exact distances only on leaves of 16 samples, and above them are
-    bounds built from the children's radii.
+    whose ratio the branch-and-bound evaluated exactly, for instance 9%
+    of all pairs on the level-6 Koch curve at its fitted order (l1
+    domain, l2 range), and 26-29% on the 1500 scattered points of the
+    ``sampled_curves`` benchmark fit.  The count depends on the search as
+    well as the data: its block radii are exact distances only on leaves
+    of 16 samples, and above them are bounds built from the children's
+    radii; its block boxes are exact on every level.
 
     A pair of coincident domain points with distinct images makes the
     data non-Holder: then C, log_C and residual are inf and the witness
@@ -407,8 +408,25 @@ class _MaxRatioScan(_PairSearch):
     compact cell of the domain.  Its spaces are the domain under the
     base norm N1 and the range under N2 (d = N^beta), with radii r1 and
     r2: exact at the leaves, bounds built from the children above them.
-    N^beta is increasing, so raising the search's upper bound on N2 to
-    beta2 and its lower bound on N1 to beta1 * alpha gives U and L with
+    Each node also has a box, the least and greatest of each coordinate
+    over its samples (``boxes[level]``, exact on every level).  A
+    weighted lp norm grows with the absolute value of each coordinate,
+    so over i in I and j in J, with gaps g = max(0, lo_J - hi_I,
+    lo_I - hi_J) and spans s = max(hi_J - lo_I, hi_I - lo_J) taken per
+    coordinate,
+
+        N1(g) <= N1(x_i - x_j),  N2(y_i - y_j) <= N2(s).
+
+    The search's bound on N1 is the larger of N1(g) and the anchor
+    bound N1(a_I - a_J) - r1_I - r1_J, each padded by ``_SLACK``; its
+    bound on N2 is the smaller of N2(s) and N2(a_I - a_J) + r2_I + r2_J.
+    The box bounds are the tighter ones for most leaf pairs of the
+    benchmark fits, scattered and curve alike.  ``np.maximum`` and
+    ``np.minimum`` pass a nan on, so a nan from either bound (a
+    difference beyond the float range) keeps the pair, and a box gap
+    whose norm overflows pads to nan (inf - inf), not to a bound that
+    prunes.  N^beta is increasing, so raising the upper bound on N2 to
+    beta2 and the lower bound on N1 to beta1 * alpha gives U and L with
     U / L bounding every ratio of the node pair (infinite when L <= 0,
     which covers every coincident pair).  Taking the norms before the
     powers keeps the bound tight under a snowflake, where a sum of
@@ -439,6 +457,13 @@ class _MaxRatioScan(_PairSearch):
         with np.errstate(over="ignore", invalid="ignore"):  # radii of inf are never pruned
             super().__init__(np.hstack([X, Y])[self.order].T, np.zeros(1, dtype=np.intp),
                              np.array([count]), [(self.xs, d1.norm), (self.ys, d2.norm)])
+        # each node's box: the per-coordinate least and greatest of its samples
+        lo = self.leaves.min(axis=2).take(self.leaf, axis=1)
+        hi = self.leaves.max(axis=2).take(self.leaf, axis=1)
+        self.boxes = [(lo, hi)]
+        for _, _, _, (first, _) in self.levels[1:]:
+            lo, hi = np.minimum.reduceat(lo, first, axis=1), np.maximum.reduceat(hi, first, axis=1)
+            self.boxes.append((lo, hi))
         self.best = -1.0
         self.best_log = -math.inf
         self.key = 0
@@ -450,14 +475,24 @@ class _MaxRatioScan(_PairSearch):
 
     def _bounds(self, level: int, I: np.ndarray, J: np.ndarray) -> np.ndarray:
         A, (R1, R2), _, _ = self.levels[level]
+        lo, hi = self.boxes[level]
+        xs, ys = self.xs, self.ys
         with np.errstate(all="ignore"):
             D = _diffs(A, I, J)
-            upper = _norm(self.d2.norm, D[self.ys]) + R2[I] + R2[J]
+            # per coordinate, the larger of hi_J - lo_I and hi_I - lo_J is the
+            # span; the gap is minus the smaller, as lo_J - hi_I = -(hi_I - lo_J)
+            a = hi.take(J, axis=1) - lo.take(I, axis=1)
+            b = hi.take(I, axis=1) - lo.take(J, axis=1)
+            span = _norm(self.d2.norm, np.maximum(a[ys], b[ys]))
+            upper = np.minimum(_norm(self.d2.norm, D[ys]) + R2[I] + R2[J], span)
             upper = upper ** self.d2.beta * (1.0 + _SLACK)
-            gap = _norm(self.d1.norm, D[self.xs])
+            gap = _norm(self.d1.norm, D[xs])
             reach = R1[I] + R1[J]
-            lower = np.maximum(gap - reach - _SLACK * (gap + reach), 0.0)
-            lower = lower ** (self.d1.beta * self.alpha)
+            apart = _norm(self.d1.norm, np.maximum(-np.minimum(a[xs], b[xs]), 0.0))
+            lower = np.maximum(gap - reach - _SLACK * (gap + reach), apart - _SLACK * apart)
+            # at the smallest positive power: were beta1 * alpha to underflow to
+            # 0, 0 ** 0 = 1 would bound the pairs of coincident domain points
+            lower = lower ** max(self.d1.beta * self.alpha, math.ulp(0.0))
             return np.where(lower >= _TINY, upper / lower, math.inf)
 
     def _scan_leaves(self, I: np.ndarray, J: np.ndarray) -> None:

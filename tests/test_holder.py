@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__
@@ -39,6 +41,7 @@ from metricgeom.holder import (
     _FANOUT,
     _LEAF,
     _DiameterScan,
+    _MaxRatioScan,
     _block_diameters,
     _lag_scan,
     _regression_logs,
@@ -416,6 +419,18 @@ class TestFitHolderBranchAndBound:
         assert fit.witness == (94, 114)
         assert fit.C == pytest.approx(2.0 / 20.0 ** 0.1, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coincident_pair_under_an_underflowing_order_power(self, seed):
+        # beta1 * alpha = 5e-324 * 0.5 underflows to 0: a lower bound of 0 on
+        # d1 raised to it is 1, not 0, and could prune the coincident pair
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(500, 2))
+        X[7] = X[300]
+        Y = rng.normal(size=(500, 1))
+        Y[7] = Y[300] + 1e-3
+        fit = fit_holder(X, Y, snowflake(L2, 5e-324), L1, alpha=0.5)
+        assert (fit.C, fit.witness, fit.is_holder) == (math.inf, (7, 300), False)
+
     def test_koch_ties_are_exact(self):
         # self-similarity gives several pairs of exactly the largest ratio;
         # the witness must still be the smallest of them
@@ -624,16 +639,16 @@ class TestFitHolderSpatialOrder:
         assert fit.witness == (466, 1489)
 
     def test_sorted_one_dimensional_fits_scan_the_same_pairs(self):
-        # a stable sort is the identity on sorted samples, so these counts are
-        # those of the index blocks before the k-d order
+        # a stable sort is the identity on sorted samples, so shuffled samples
+        # scan the pairs that sorted ones do
         c = koch_generator(5)
-        assert fit_holder(c.params, c.points, L1, L1).pairs_scanned == 152992
-        assert fit_holder(c.params, c.points, L1, L2).pairs_scanned == 225168
+        assert fit_holder(c.params, c.points, L1, L1).pairs_scanned == 130880
+        assert fit_holder(c.params, c.points, L1, L2).pairs_scanned == 171552
         x = np.concatenate([[0.0], np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 1999))])
-        assert fit_holder(x, np.sqrt(x), L1, L1, alpha=0.5).pairs_scanned == 71576
+        assert fit_holder(x, np.sqrt(x), L1, L1, alpha=0.5).pairs_scanned == 55960
         perm = np.random.default_rng(1).permutation(2000)
         shuffled = fit_holder(x[perm], np.sqrt(x[perm]), L1, L1, alpha=0.5)
-        assert shuffled.pairs_scanned == 71576
+        assert shuffled.pairs_scanned == 55960
         oracle = _oracle_fit(x[perm], np.sqrt(x[perm]), 0.5, (1.0, 1.0, None), (1.0, 1.0, None))
         assert (shuffled.C, shuffled.witness) == oracle
 
@@ -644,7 +659,7 @@ class TestFitHolderSpatialOrder:
         X = rng.uniform(-1.0, 1.0, (900, 2))
         Y = np.column_stack([np.abs(X[:, 0]) ** 0.5, X[:, 0] * X[:, 1]])
         fit = fit_holder(X, Y, L2, L1, alpha=0.5)
-        assert fit.pairs_scanned == 174086
+        assert fit.pairs_scanned == 82502
         assert (fit.C, fit.witness) == _oracle_fit(X, Y, 0.5, (2.0, 1.0, None), (1.0, 1.0, None))
 
 
@@ -1092,6 +1107,103 @@ class TestBlockDiameterOracle:
         want = _lag_scan(P, np.array([count]), NormSpec(2.0))
         got = _DiameterScan(P, np.zeros(1, dtype=np.intp), np.array([count]), NormSpec(2.0)).run()
         np.testing.assert_array_equal(got, want)
+
+
+
+@st.composite
+def _fit_inputs(draw, wide=False):
+    """(X, Y, alpha, d1, d2) for the pair search, d = (p, beta, weights).
+
+    2 to 600 samples, on both sides of one leaf (_LEAF) and one level-1
+    node (_LEAF * _FANOUT); 1 to 3 coordinates per side; scattered, curve
+    or integer-grid domains, some points repeated, with or without equal
+    images; each side scaled by 10^e, e from about -300 to 300.  With
+    ``wide``, a side may instead reach 1.7e308, so that differences and
+    box gaps overflow.
+    """
+    m = draw(st.one_of(st.integers(2, 3 * _LEAF), st.integers(_LEAF * _FANOUT - 60, 600)))
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["scattered", "curve", "grid"]))
+    if kind == "scattered":
+        X = rng.normal(size=(m, n1))
+    elif kind == "curve":
+        t = np.sort(rng.uniform(0.0, 1.0, m))
+        X = np.column_stack([t] + [np.sin((k + 2) * t) for k in range(n1 - 1)])
+    else:  # coincident points and ties
+        X = rng.integers(0, 5, (m, n1)).astype(float)
+    Y = rng.normal(size=(m, n2))
+    if draw(st.booleans()):
+        Y = np.cumsum(Y, axis=0)
+    repeats = draw(st.integers(0, m // 4))
+    src, dst = rng.integers(0, m, repeats), rng.integers(0, m, repeats)
+    X[dst] = X[src]
+    if draw(st.booleans()):  # equal images: the data stays Holder
+        Y[dst] = Y[src]
+    for P in (X, Y):
+        P *= 10.0 ** (draw(st.integers(-300, 300)) + rng.uniform(-2.0, 2.0, P.shape[1]))
+        if wide and draw(st.booleans()) and np.abs(P).max() > 0.0:
+            P /= np.abs(P).max()  # coincident points stay coincident
+            P *= 1.7e308
+
+    def metric(n):
+        weights = tuple(rng.uniform(0.5, 2.0, n)) if draw(st.booleans()) else None
+        return (draw(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf])),
+                draw(st.floats(0.0, 1.0, exclude_min=True)), weights)
+
+    alpha = draw(st.floats(0.01, 4.0))
+    return X, Y, alpha, metric(n1), metric(n2)
+
+
+class TestPairSearchProperties:
+    """The fit and its node-pair bounds on drawn inputs, against all pairs."""
+
+    @given(_fit_inputs())
+    @settings(deadline=None, max_examples=40)
+    def test_fit_matches_the_all_pairs_oracle(self, case):
+        X, Y, alpha, d1, d2 = case
+        fit = fit_holder(X, Y, _metric_of(*d1), _metric_of(*d2), alpha=alpha)
+        C, witness = _oracle_fit(X, Y, alpha, d1, d2)
+        assert fit.pairs_scanned <= len(X) * (len(X) - 1) // 2
+        if C == math.inf and np.any(X[witness[0]] != X[witness[1]]):
+            # the largest ratio overflows: its pair is chosen by logarithms
+            assert fit.C == math.inf and fit.is_holder
+        else:
+            assert (fit.C, fit.witness) == (C, witness)  # bit for bit
+            assert fit.is_holder == (C < math.inf)
+
+    @given(_fit_inputs(wide=True))
+    @settings(deadline=None, max_examples=40)
+    def test_node_pair_bounds_cover_every_ratio_inside(self, case):
+        X, Y, alpha, d1, d2 = case
+        scan = _MaxRatioScan(X, Y, _metric_of(*d1), _metric_of(*d2), alpha)
+        X, Y, m = X[scan.order], Y[scan.order], len(X)
+        # every ratio of the pairs i != j, in the scan's sample order: inf where
+        # d2 overflows (the scan raises) or for coincident domain points with
+        # distinct images, -inf where it leaves the pair out (d1 overflows, or
+        # d1 = d2 = 0)
+        with np.errstate(all="ignore"):
+            D1 = _oracle_lp(X[:, None] - X[None, :], *d1)
+            D2 = _oracle_lp(Y[:, None] - Y[None, :], *d2)
+            scale = D1 ** alpha
+            ratio = D2 / scale
+            low = scale < np.finfo(float).tiny
+            ratio[low] = np.exp(np.log(D2[low]) - alpha * np.log(D1[low]))
+        ratio[~(D2 < math.inf)] = math.inf  # a nan norm is an overflow too
+        ratio[D1 == 0.0] = np.where(D2[D1 == 0.0] > 0.0, math.inf, -math.inf)
+        ratio[~(D1 < math.inf) | np.eye(m, dtype=bool)] = -math.inf
+        rng = np.random.default_rng(m)
+        start = np.arange(len(scan.levels[0][2]))  # each node's leaves
+        stop = start + 1
+        for level, (_, _, _, children) in enumerate(scan.levels):
+            if children is not None:
+                first, kids = children
+                start, stop = start[first], stop[first + kids - 1]
+            I, J = np.sort(rng.integers(0, len(start), (2, 10)), axis=0)
+            for i, j, bound in zip(I, J, scan._bounds(level, I, J)):
+                inside = ratio[start[i] * _LEAF : stop[i] * _LEAF,
+                               start[j] * _LEAF : stop[j] * _LEAF].max()
+                assert np.isnan(bound) or bound >= inside, (level, i, j)
 
 
 def _leaf_runs(lo: int, count: int) -> list[np.ndarray]:
