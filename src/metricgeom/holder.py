@@ -479,16 +479,13 @@ class _MaxRatioScan(_PairSearch):
         xs, ys = self.xs, self.ys
         with np.errstate(all="ignore"):
             D = _diffs(A, I, J)
-            # per coordinate, the larger of hi_J - lo_I and hi_I - lo_J is the
-            # span; the gap is minus the smaller, as lo_J - hi_I = -(hi_I - lo_J)
-            a = hi.take(J, axis=1) - lo.take(I, axis=1)
-            b = hi.take(I, axis=1) - lo.take(J, axis=1)
-            span = _norm(self.d2.norm, np.maximum(a[ys], b[ys]))
+            span = _norm(self.d2.norm, np.maximum(*_box_diffs(lo[ys], hi[ys], I, J)))
             upper = np.minimum(_norm(self.d2.norm, D[ys]) + R2[I] + R2[J], span)
             upper = upper ** self.d2.beta * (1.0 + _SLACK)
             gap = _norm(self.d1.norm, D[xs])
             reach = R1[I] + R1[J]
-            apart = _norm(self.d1.norm, np.maximum(-np.minimum(a[xs], b[xs]), 0.0))
+            apart = np.maximum(-np.minimum(*_box_diffs(lo[xs], hi[xs], I, J)), 0.0)
+            apart = _norm(self.d1.norm, apart)
             lower = np.maximum(gap - reach - _SLACK * (gap + reach), apart - _SLACK * apart)
             # at the smallest positive power: were beta1 * alpha to underflow to
             # 0, 0 ** 0 = 1 would bound the pairs of coincident domain points
@@ -548,6 +545,15 @@ class _MaxRatioScan(_PairSearch):
         key = smallest(at_top)
         self.key = min(self.key, key) if tie else key
         self.best = top
+
+
+def _box_diffs(lo: np.ndarray, hi: np.ndarray, I: np.ndarray, J: np.ndarray):
+    """hi_J - lo_I and hi_I - lo_J, per coordinate row, for the box pairs (I, J).
+
+    Their larger is the span of the two boxes; minus their smaller is the
+    gap between them, since lo_J - hi_I = -(hi_I - lo_J) exactly.
+    """
+    return hi.take(J, axis=1) - lo.take(I, axis=1), hi.take(I, axis=1) - lo.take(J, axis=1)
 
 
 def _spatial_order(X: np.ndarray) -> np.ndarray:
